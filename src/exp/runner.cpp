@@ -191,9 +191,8 @@ void launch_stage(const std::shared_ptr<ServeState>& st,
     if (st->live_feed != nullptr) {
       Rng rng =
           st->live_rng_base.split(req->index * st->stages + req->stage);
-      const CoLocationDistribution dist =
-          st->live_feed->stage_distribution(req->stage);
-      const int n = dist.sample(rng);
+      const int n =
+          st->live_feed->stage_distribution(req->stage).sample(rng);
       exo = st->interference.sample_multiplier(st->dims[req->stage], n, rng);
     } else {
       exo = req->draw.interference[req->stage];

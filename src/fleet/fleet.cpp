@@ -34,6 +34,9 @@ std::uint64_t tenant_seed(std::uint64_t fleet_seed, std::size_t tenant) {
 struct TenantSetup {
   WorkloadSpec workload;
   RunConfig run;
+  /// Chain length, recorded once at plan time: the barrier loop, chaos
+  /// preemption and the worker pipes read it every epoch.
+  std::size_t stages = 0;
 };
 
 std::string fmt_double(double v) {
@@ -129,6 +132,7 @@ FleetPlan plan_fleet(const FleetConfig& config) {
     // estimate or as a throw on a shard thread.
     (void)make_arrivals(spec.arrivals);
     const auto models = setup.workload.chain_models();
+    setup.stages = models.size();
 
     RunConfig rc;
     rc.slo = tenant_slo(spec, setup.workload);
@@ -160,7 +164,7 @@ FleetPlan plan_fleet(const FleetConfig& config) {
     // plane's packing; its feed becomes the tenant's co-location source —
     // frozen on the static path, shifted at every barrier on the live
     // path.
-    const std::vector<Millicores> plan_mc = plan.catalog->plan_sizes(
+    const std::vector<Millicores>& plan_mc = plan.catalog->plan_sizes(
         spec.policy, setup.workload, rc.slo, spec.concurrency, spec.size_mc);
     const double rate = spec.arrivals.mean_rate();
     std::vector<int> stage_pods;
@@ -434,6 +438,13 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
     folded[i] = 1;
   };
 
+  // Barrier observation buffers, sized once and overwritten every epoch.
+  std::vector<std::vector<int>> observed(slice_n);
+  for (std::size_t i = 0; i < slice_n; ++i) {
+    observed[i].resize(plan.setups[lo + i].stages);
+  }
+  std::vector<std::vector<int>> full;
+
   {
     ThreadPool pool(shards);
     Seconds epoch_end = control.live() ? control.epoch_s() : kNoEpochs;
@@ -453,19 +464,17 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
       // actually observed this epoch.  A tenant folded away by the
       // streaming path publishes zeros — exactly what its idle platform
       // would have reported.
-      std::vector<std::vector<int>> observed(slice_n);
       for (std::size_t i = 0; i < slice_n; ++i) {
-        const std::size_t stages =
-            plan.setups[lo + i].workload.chain_models().size();
-        observed[i].assign(stages, 0);
-        if (platforms[i]) {
-          for (std::size_t s = 0; s < stages; ++s) {
-            observed[i][s] = platforms[i]->peak_busy_for(static_cast<int>(s));
-          }
-          platforms[i]->reset_peak_busy();
+        std::vector<int>& row = observed[i];
+        if (!platforms[i]) {
+          std::fill(row.begin(), row.end(), 0);
+          continue;
         }
+        for (std::size_t s = 0; s < row.size(); ++s) {
+          row[s] = platforms[i]->peak_busy_for(static_cast<int>(s));
+        }
+        platforms[i]->reset_peak_busy();
       }
-      std::vector<std::vector<int>> full;
       if (!link.exchange(pending, observed, full)) break;
       if (prof != nullptr) prof->begin("reconcile");
       // Chaos injection happens here — all shards paused, observations
@@ -488,9 +497,7 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
         }
         for (std::size_t t : barrier.preempt_tenants) {
           int killed = 0;
-          const std::size_t stages =
-              plan.setups[t].workload.chain_models().size();
-          for (std::size_t s = 0; s < stages; ++s) {
+          for (std::size_t s = 0; s < plan.setups[t].stages; ++s) {
             const int busy =
                 platforms[t - lo]->busy_pods_for(static_cast<int>(s));
             const int want = static_cast<int>(
@@ -669,8 +676,7 @@ std::vector<FleetSliceOutcome> run_forked_slices(const FleetConfig& config,
   const auto processes = static_cast<std::size_t>(config.processes);
   std::vector<int> stages(n);
   for (std::size_t t = 0; t < n; ++t) {
-    stages[t] =
-        static_cast<int>(plan.setups[t].workload.chain_models().size());
+    stages[t] = static_cast<int>(plan.setups[t].stages);
   }
   std::vector<WorkerProc> workers(processes);
   for (std::size_t p = 0; p < processes; ++p) {
@@ -924,7 +930,6 @@ FleetResult merge_fleet_slices(const FleetConfig& config,
         tr.e2e_p50 = tr.e2e.percentile(50.0);
         tr.e2e_p99 = tr.e2e.percentile(99.0);
         tr.e2e_hist = std::move(fold.e2e_hist);
-        out.fleet_e2e.merge(tr.e2e);
         out.fleet_hist.merge(tr.e2e_hist);
         cpu_total += fold.cpu_sum;
         violations += static_cast<std::size_t>(fold.violations);
@@ -941,6 +946,15 @@ FleetResult merge_fleet_slices(const FleetConfig& config,
     out.obs.peak_pending =
         std::max(out.obs.peak_pending, slice.peak_pending);
     out.sim_end_s = std::max(out.sim_end_s, slice.sim_end_s);
+  }
+  // The exact fleet distribution: one sort over every tenant's samples and
+  // a tenant-order moment fold — bit-identical to folding merge() tenant
+  // by tenant, without rewriting the accumulated vector once per tenant.
+  if (!stream) {
+    std::vector<const EmpiricalDistribution*> parts;
+    parts.reserve(out.tenants.size());
+    for (const TenantResult& tr : out.tenants) parts.push_back(&tr.e2e);
+    out.fleet_e2e = EmpiricalDistribution::merge_all(parts);
   }
   // Timeline rows arrive slice by slice but the artifact's canonical order
   // is (epoch, tenant, stage); a stable sort restores it — and is the

@@ -24,6 +24,16 @@ const char* const kPolicyNames[] = {"fixed",      "janus",     "janus-",
                                     "janus+",     "orion",     "grandslam",
                                     "grandslam+", "mean_based", "optimal"};
 
+/// Policy label of the families that run at fixed per-stage sizes (their
+/// plan sizes); nullptr for the late-binding families.
+const char* fixed_label(const std::string& name) {
+  if (name == "fixed") return "fixed";
+  if (name == "orion") return "ORION";
+  if (name == "grandslam") return "GrandSLAM";
+  if (name == "grandslam+") return "GrandSLAM+";
+  return nullptr;
+}
+
 Exploration exploration_of(const std::string& name) {
   if (name == "janus-") return Exploration::FixedP99;
   if (name == "janus+") return Exploration::HeadAndNext;
@@ -174,24 +184,44 @@ EarlyBindingInputs PolicyCatalog::early_inputs(const WorkloadSpec& workload,
   return in;
 }
 
-const std::vector<Millicores>& PolicyCatalog::orion(
-    const WorkloadSpec& workload, Seconds slo, Concurrency conc) {
-  const auto key = std::make_tuple(workload.name, conc, slo);
-  auto it = orion_.find(key);
-  if (it != orion_.end()) return it->second;
-  ++stats_.orion_solved;
-  return orion_.emplace(key, orion_sizes(early_inputs(workload, slo, conc)))
-      .first->second;
+const std::vector<Millicores>& PolicyCatalog::early_sizes(
+    const std::string& family, const WorkloadSpec& workload, Seconds slo,
+    Concurrency conc) {
+  const auto key = std::make_tuple(family, workload.name, conc, slo);
+  auto it = early_.find(key);
+  if (it != early_.end()) return it->second;
+  ++stats_.early_solved;
+  const EarlyBindingInputs in = early_inputs(workload, slo, conc);
+  std::vector<Millicores> sizes;
+  if (family == "orion") {
+    ++stats_.orion_solved;
+    sizes = orion_sizes(in);
+  } else if (family == "grandslam") {
+    sizes = grandslam_sizes(in);
+  } else {
+    sizes = grandslam_plus_sizes(in);
+  }
+  return early_.emplace(key, std::move(sizes)).first->second;
+}
+
+std::shared_ptr<const MeanTailTable> PolicyCatalog::mean_tail(
+    const WorkloadSpec& workload, Concurrency conc) {
+  const auto key = std::make_pair(workload.name, conc);
+  auto it = mean_tails_.find(key);
+  if (it != mean_tails_.end()) return it->second;
+  auto built = std::make_shared<const MeanTailTable>(MeanTailTable::build(
+      profiles(workload, conc), conc, config_.kmin, config_.kmax,
+      config_.kstep));
+  return mean_tails_.emplace(key, std::move(built)).first->second;
 }
 
 std::unique_ptr<SizingPolicy> PolicyCatalog::make_policy(
     const std::string& name, const WorkloadSpec& workload, Seconds slo,
     Concurrency conc, Millicores fixed_mc) {
-  const std::size_t stages = workload.chain_models().size();
-  if (name == "fixed") {
-    require(fixed_mc > 0, "fixed policy needs a positive allocation");
+  // Fixed and early-binding families run at their plan sizes.
+  if (const char* label = fixed_label(name)) {
     return std::make_unique<FixedSizingPolicy>(
-        "fixed", std::vector<Millicores>(stages, fixed_mc));
+        label, plan_sizes(name, workload, slo, conc, fixed_mc));
   }
   if (name == "janus" || name == "janus-" || name == "janus+") {
     AdapterConfig adapter_config;
@@ -201,17 +231,8 @@ std::unique_ptr<SizingPolicy> PolicyCatalog::make_policy(
         Adapter(bundle(workload, conc, exploration_of(name)), adapter_config),
         slo, config_.janus_safety_margin);
   }
-  if (name == "orion") {
-    return std::make_unique<FixedSizingPolicy>("ORION",
-                                               orion(workload, slo, conc));
-  }
-  if (name == "grandslam" || name == "grandslam+") {
-    const EarlyBindingInputs in = early_inputs(workload, slo, conc);
-    return name == "grandslam" ? make_grandslam(in) : make_grandslam_plus(in);
-  }
   if (name == "mean_based") {
-    return make_mean_based(profiles(workload, conc), slo, conc, config_.kmin,
-                           config_.kmax, config_.kstep);
+    return std::make_unique<MeanBasedPolicy>(mean_tail(workload, conc), slo);
   }
   if (name == "optimal") {
     OptimalInputs in;
@@ -229,38 +250,39 @@ std::unique_ptr<SizingPolicy> PolicyCatalog::make_policy(
                 "constructor in PolicyCatalog::make_policy");
 }
 
-std::vector<Millicores> PolicyCatalog::plan_sizes(const std::string& name,
-                                                  const WorkloadSpec& workload,
-                                                  Seconds slo,
-                                                  Concurrency conc,
-                                                  Millicores fixed_mc) {
+const std::vector<Millicores>& PolicyCatalog::plan_sizes(
+    const std::string& name, const WorkloadSpec& workload, Seconds slo,
+    Concurrency conc, Millicores fixed_mc) {
+  if (name == "orion" || name == "grandslam" || name == "grandslam+") {
+    return early_sizes(name, workload, slo, conc);
+  }
+  const bool fixed = name == "fixed";
+  if (fixed) require(fixed_mc > 0, "fixed policy needs a positive allocation");
+  const auto key =
+      std::make_tuple(name, workload.name, slo, conc, fixed ? fixed_mc : 0);
+  auto it = plans_.find(key);
+  if (it != plans_.end()) return it->second;
   const auto models = workload.chain_models();
   const std::size_t stages = models.size();
-  if (name == "fixed") {
-    require(fixed_mc > 0, "fixed policy needs a positive allocation");
-    return std::vector<Millicores>(stages, fixed_mc);
-  }
-  if (name == "orion") return orion(workload, slo, conc);
-  if (name == "grandslam" || name == "grandslam+") {
-    const EarlyBindingInputs in = early_inputs(workload, slo, conc);
-    return name == "grandslam" ? grandslam_sizes(in)
-                               : grandslam_plus_sizes(in);
-  }
-  // Late-binding policies: walk the chain once at mean conditions (ws = 1,
-  // interference = 1), advancing elapsed time with the model's mean
-  // latency at each chosen size.  Pure function of the catalog artifacts,
-  // so packing stays shard-independent.
-  auto policy = make_policy(name, workload, slo, conc, fixed_mc);
-  const RequestDraw draw = neutral_draw(stages);
   std::vector<Millicores> sizes;
-  sizes.reserve(stages);
-  Seconds elapsed = 0.0;
-  for (std::size_t s = 0; s < stages; ++s) {
-    const Millicores k = policy->size_for_stage(s, elapsed, draw);
-    sizes.push_back(k);
-    elapsed += models[s].exec_time(k, conc, 1.0, 1.0);
+  if (fixed) {
+    sizes.assign(stages, fixed_mc);
+  } else {
+    // Late-binding policies: walk the chain once at mean conditions
+    // (ws = 1, interference = 1), advancing elapsed time with the model's
+    // mean latency at each chosen size.  Pure function of the catalog
+    // artifacts, so packing stays shard-independent.
+    auto policy = make_policy(name, workload, slo, conc, fixed_mc);
+    const RequestDraw draw = neutral_draw(stages);
+    sizes.reserve(stages);
+    Seconds elapsed = 0.0;
+    for (std::size_t s = 0; s < stages; ++s) {
+      const Millicores k = policy->size_for_stage(s, elapsed, draw);
+      sizes.push_back(k);
+      elapsed += models[s].exec_time(k, conc, 1.0, 1.0);
+    }
   }
-  return sizes;
+  return plans_.emplace(key, std::move(sizes)).first->second;
 }
 
 ContentionAwarePolicy::ContentionAwarePolicy(

@@ -6,8 +6,10 @@
 // simulation so policy *mixes* can be studied under the endogenous
 // co-residency contention the epoch control plane produces.
 //
-// Expensive shared artifacts are synthesized offline, once, and shared
-// read-only:
+// Every sizing artifact is computed offline, once per tenant *class*, and
+// shared read-only — as in the paper, where the provider applies offline
+// knowledge per request at almost no cost.  Per-tenant catalog work is a
+// map lookup plus an O(stages) policy construction:
 //
 //   * latency profiles — once per (workload, concurrency); every policy of
 //     that workload reads the same profile set;
@@ -16,13 +18,24 @@
 //     shared_ptr<const HintsBundle> to the same immutable tables, so the
 //     synthesis cost is paid once no matter how many tenants or shards
 //     consume it;
-//   * ORION allocations — once per (workload, concurrency, SLO); the
-//     Monte-Carlo convolution is the one early-binding solve worth caching.
+//   * early-binding sizes (ORION's Monte-Carlo convolution, the GrandSLAM
+//     grid search, the GrandSLAM+ tail DP) — once per (family, workload,
+//     concurrency, SLO); make_policy wraps the cached sizes in a fresh
+//     FixedSizingPolicy and plan_sizes returns them directly;
+//   * mean-based suffix tables — once per (workload, concurrency); every
+//     mean-based tenant holds a shared_ptr<const MeanTailTable>;
+//   * plan sizes of the late-binding families (and fixed) — once per
+//     (policy, workload, SLO, concurrency), plus the allocation for fixed.
 //
 // Per-tenant *policy objects* are never shared: adapters carry hit/miss
 // statistics and each tenant runs on exactly one shard thread, so giving
 // every tenant its own instance keeps the hot path lock-free while the
 // tables behind it stay shared.
+//
+// The catalog itself is not thread-safe.  run_fleet writes it only on the
+// plan thread and in execute_slice's serial tenant loop; shard threads
+// only read what it handed out, and forked workers inherit it warm,
+// copy-on-write.
 #pragma once
 
 #include <map>
@@ -34,6 +47,7 @@
 #include "common/types.hpp"
 #include "hints/generator.hpp"
 #include "policy/early_binding.hpp"
+#include "policy/mean_based.hpp"
 #include "model/interference.hpp"
 #include "model/workloads.hpp"
 #include "policy/policy.hpp"
@@ -92,6 +106,8 @@ struct PolicyCatalogStats {
   /// Bundles loaded from PolicyCatalogConfig::hints_dir (no synthesis).
   int bundles_loaded = 0;
   int orion_solved = 0;
+  /// Early-binding solves of every family (ORION, GrandSLAM, GrandSLAM+).
+  int early_solved = 0;
 };
 
 /// Canonical hints-table filename for suffix table `suffix` of (workload,
@@ -117,11 +133,12 @@ class PolicyCatalog {
   /// Deterministic per-stage allocation estimate used for cluster plan
   /// packing (pod sizes at plan time).  Early-binding policies report
   /// their actual sizes; late-binding policies are walked through the
-  /// chain at mean (ws = 1, interference = 1) latencies.
-  std::vector<Millicores> plan_sizes(const std::string& name,
-                                     const WorkloadSpec& workload,
-                                     Seconds slo, Concurrency conc,
-                                     Millicores fixed_mc);
+  /// chain at mean (ws = 1, interference = 1) latencies.  Memoised; the
+  /// reference stays valid for the catalog's lifetime.
+  const std::vector<Millicores>& plan_sizes(const std::string& name,
+                                            const WorkloadSpec& workload,
+                                            Seconds slo, Concurrency conc,
+                                            Millicores fixed_mc);
 
   /// Shared profiles for (workload, concurrency); built on first use.
   /// The reference stays valid for the catalog's lifetime.
@@ -137,8 +154,13 @@ class PolicyCatalog {
   const PolicyCatalogStats& stats() const noexcept { return stats_; }
 
  private:
-  const std::vector<Millicores>& orion(const WorkloadSpec& workload,
-                                       Seconds slo, Concurrency conc);
+  /// Cached sizes of early-binding family `family` (orion, grandslam,
+  /// grandslam+).
+  const std::vector<Millicores>& early_sizes(const std::string& family,
+                                             const WorkloadSpec& workload,
+                                             Seconds slo, Concurrency conc);
+  std::shared_ptr<const MeanTailTable> mean_tail(const WorkloadSpec& workload,
+                                                 Concurrency conc);
   /// Shared early-binding inputs (profiles + grid + SLO): one builder so
   /// make_policy and plan_sizes can never disagree on the setup.
   EarlyBindingInputs early_inputs(const WorkloadSpec& workload, Seconds slo,
@@ -153,9 +175,18 @@ class PolicyCatalog {
   std::map<std::tuple<std::string, Concurrency, int>,
            std::shared_ptr<const HintsBundle>>
       bundles_;
-  std::map<std::tuple<std::string, Concurrency, Seconds>,
+  // (family, workload, concurrency, SLO)
+  std::map<std::tuple<std::string, std::string, Concurrency, Seconds>,
            std::vector<Millicores>>
-      orion_;
+      early_;
+  std::map<std::pair<std::string, Concurrency>,
+           std::shared_ptr<const MeanTailTable>>
+      mean_tails_;
+  // (policy, workload, SLO, concurrency, fixed_mc — 0 unless "fixed")
+  std::map<std::tuple<std::string, std::string, Seconds, Concurrency,
+                      Millicores>,
+           std::vector<Millicores>>
+      plans_;
 };
 
 /// Decorator making any sizing policy react *directly* to the epoch

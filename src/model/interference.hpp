@@ -94,9 +94,11 @@ class CoLocationProvider {
  public:
   virtual ~CoLocationProvider() = default;
   /// Distribution currently in effect for chain stage `stage`; throws when
-  /// the provider does not cover the stage.
-  virtual CoLocationDistribution stage_distribution(std::size_t stage)
-      const = 0;
+  /// the provider does not cover the stage.  The reference is valid until
+  /// the provider next changes (a live feed: the next barrier), so callers
+  /// read it in place instead of copying it per stage launch.
+  virtual const CoLocationDistribution& stage_distribution(
+      std::size_t stage) const = 0;
   /// Number of stages covered.
   virtual std::size_t stages() const noexcept = 0;
   /// Whether the distributions can shift mid-run (epoch feed).
@@ -110,7 +112,8 @@ class StaticCoLocation final : public CoLocationProvider {
   explicit StaticCoLocation(std::vector<CoLocationDistribution> per_stage)
       : per_stage_(std::move(per_stage)) {}
 
-  CoLocationDistribution stage_distribution(std::size_t stage) const override;
+  const CoLocationDistribution& stage_distribution(
+      std::size_t stage) const override;
   std::size_t stages() const noexcept override { return per_stage_.size(); }
 
  private:

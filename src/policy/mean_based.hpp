@@ -17,12 +17,35 @@
 
 namespace janus {
 
+/// The Σ-of-means suffix table a MeanBasedPolicy sizes from:
+/// tail_mean[stage * cores.size() + ki] = Σ_{j >= stage} mean latency of
+/// stage j at cores[ki] (P50 stands in for the mean these systems estimate
+/// from sliding-window telemetry).  Precomputed because the policy is
+/// consulted per stage launch on the fleet hot path, where rescanning the
+/// profile grid costs O(stages × cores) per call.  Each entry keeps the
+/// left-to-right summation order, so decisions are bit-identical to the
+/// on-the-fly scan.  A pure function of (profiles, concurrency, grid) —
+/// not of the SLO — so tenants of one (workload, concurrency) can share
+/// one immutable table.
+struct MeanTailTable {
+  std::size_t stages = 0;
+  std::vector<Millicores> cores;
+  std::vector<Seconds> tail_mean;
+
+  /// `profiles` in chain order; throws when empty.
+  static MeanTailTable build(const std::vector<LatencyProfile>& profiles,
+                             Concurrency concurrency, Millicores kmin,
+                             Millicores kmax, Millicores kstep);
+};
+
 class MeanBasedPolicy final : public SizingPolicy {
  public:
-  /// `profiles` in chain order; the policy keeps a reference (caller owns).
+  /// `profiles` in chain order; builds the policy's own suffix table.
   MeanBasedPolicy(const std::vector<LatencyProfile>& profiles, Seconds slo,
                   Concurrency concurrency, Millicores kmin, Millicores kmax,
                   Millicores kstep);
+  /// Sizes from a shared, immutable suffix table (must not be null).
+  MeanBasedPolicy(std::shared_ptr<const MeanTailTable> table, Seconds slo);
 
   const std::string& name() const noexcept override { return name_; }
   Millicores size_for_stage(std::size_t stage, Seconds elapsed,
@@ -30,22 +53,9 @@ class MeanBasedPolicy final : public SizingPolicy {
   bool late_binding() const noexcept override { return true; }
 
  private:
-  /// Mean latency of stage `j` at size index `ki` (P50 stands in for the
-  /// mean these systems estimate from sliding-window telemetry).
-  Seconds mean_latency(std::size_t j, std::size_t ki) const;
-
   std::string name_ = "MeanAdapt";
-  const std::vector<LatencyProfile>& profiles_;
+  std::shared_ptr<const MeanTailTable> table_;
   Seconds slo_;
-  Concurrency concurrency_;
-  std::vector<Millicores> cores_;
-  /// tail_mean_[stage * cores + ki] = Σ_{j >= stage} mean_latency(j, ki),
-  /// precomputed: the policy is consulted per stage launch on the fleet
-  /// hot path, and rescanning the profile grid there costs O(stages ×
-  /// cores) per call.  Each entry keeps the original left-to-right
-  /// summation order, so decisions are bit-identical to the on-the-fly
-  /// scan.
-  std::vector<Seconds> tail_mean_;
 };
 
 std::unique_ptr<MeanBasedPolicy> make_mean_based(

@@ -61,21 +61,46 @@ double EmpiricalDistribution::fraction_above(double x) const {
   return 1.0 - cdf(x);
 }
 
-void EmpiricalDistribution::merge(const EmpiricalDistribution& other) {
-  if (other.empty()) return;
+void EmpiricalDistribution::fold_moments(const EmpiricalDistribution& other) {
   if (empty()) {
-    *this = other;
+    mean_ = other.mean_;
+    m2_ = other.m2_;
     return;
   }
-  std::vector<double> merged(sorted_.size() + other.sorted_.size());
-  std::merge(sorted_.begin(), sorted_.end(), other.sorted_.begin(),
-             other.sorted_.end(), merged.begin());
   const double na = static_cast<double>(sorted_.size());
   const double nb = static_cast<double>(other.sorted_.size());
   const double delta = other.mean_ - mean_;
   mean_ += delta * nb / (na + nb);
   m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
+}
+
+void EmpiricalDistribution::merge(const EmpiricalDistribution& other) {
+  if (other.empty()) return;
+  fold_moments(other);
+  if (empty()) {
+    sorted_ = other.sorted_;
+    return;
+  }
+  std::vector<double> merged(sorted_.size() + other.sorted_.size());
+  std::merge(sorted_.begin(), sorted_.end(), other.sorted_.begin(),
+             other.sorted_.end(), merged.begin());
   sorted_ = std::move(merged);
+}
+
+EmpiricalDistribution EmpiricalDistribution::merge_all(
+    const std::vector<const EmpiricalDistribution*>& parts) {
+  std::size_t total = 0;
+  for (const EmpiricalDistribution* part : parts) total += part->size();
+  EmpiricalDistribution out;
+  out.sorted_.reserve(total);
+  for (const EmpiricalDistribution* part : parts) {
+    if (part->empty()) continue;
+    out.fold_moments(*part);
+    out.sorted_.insert(out.sorted_.end(), part->sorted_.begin(),
+                       part->sorted_.end());
+  }
+  std::stable_sort(out.sorted_.begin(), out.sorted_.end());
+  return out;
 }
 
 std::vector<std::pair<double, double>> EmpiricalDistribution::cdf_series(

@@ -43,6 +43,16 @@ class EmpiricalDistribution {
   /// partials in any grouping.
   void merge(const EmpiricalDistribution& other);
 
+  /// The batch form of a left fold of merge() over `parts`: the moments
+  /// fold in input order through the same Chan update, so mean/m2 are
+  /// bit-identical to the pairwise fold, while the samples are appended
+  /// into one reserved vector and stable-sorted once — O(N log N) for N
+  /// total samples instead of the fold's O(N · parts).  The stable sort
+  /// keeps equal samples in input order, exactly as std::merge does.
+  /// Empty members are skipped.
+  static EmpiricalDistribution merge_all(
+      const std::vector<const EmpiricalDistribution*>& parts);
+
   /// Rebuilds a distribution from serialized state (codec decode path).
   /// `sorted` must already be sorted ascending; mean/m2 are taken verbatim
   /// so a decode(encode(d)) round-trip is bit-exact, not re-derived.
@@ -63,6 +73,11 @@ class EmpiricalDistribution {
   std::vector<double> sorted_;
   double mean_ = 0.0;
   double m2_ = 0.0;  // sum of squared deviations, for stddev
+
+  /// Folds `other`'s moments into this distribution's (Chan's parallel
+  /// update; a verbatim copy while this one is empty).  Call before the
+  /// samples change: the update reads both sizes.
+  void fold_moments(const EmpiricalDistribution& other);
 };
 
 }  // namespace janus

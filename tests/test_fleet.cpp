@@ -840,24 +840,49 @@ TEST(FleetPolicies, MixBitIdenticalAcrossShardCountsAndReruns) {
 }
 
 TEST(FleetPolicies, CatalogSynthesizesOncePerWorkloadPolicy) {
-  PolicyCatalog catalog(tiny_catalog_config());
+  // Coarse grids: the warm-vs-fresh check below synthesizes Janus+ too.
+  PolicyCatalogConfig coarse = tiny_catalog_config();
+  coarse.budget_step = 50;
+  coarse.kstep = 250;
+  PolicyCatalog catalog(coarse);
   FleetConfig config = policy_mix_fleet(2);
+  // Every catalog family, twice over, so each (family, workload) class
+  // has several tenants sharing one memo entry.
+  config.tenants = make_tenant_mix(
+      18, 40, 8.0, ArrivalKind::Poisson, /*mixed_kinds=*/true,
+      {"janus", "orion", "mean_based", "fixed", "optimal", "grandslam+",
+       "grandslam", "janus-", "mean_based"});
   config.catalog = &catalog;
   (void)run_fleet(config);
   const PolicyCatalogStats after_first = catalog.stats();
   // Two workloads in the mix, each profiled exactly once.
   EXPECT_EQ(after_first.profiles_built, 2);
   EXPECT_GE(after_first.bundles_built, 1);
+  // One early-binding solve per (family, workload) class — orion,
+  // grandslam and grandslam+ on IA and VA — not one per tenant.
+  EXPECT_EQ(after_first.orion_solved, 2);
+  EXPECT_EQ(after_first.early_solved, 6);
   // A second run — any shard count — reuses every artifact.
   config.shards = 4;
   (void)run_fleet(config);
   EXPECT_EQ(catalog.stats().profiles_built, after_first.profiles_built);
   EXPECT_EQ(catalog.stats().bundles_built, after_first.bundles_built);
   EXPECT_EQ(catalog.stats().orion_solved, after_first.orion_solved);
+  EXPECT_EQ(catalog.stats().early_solved, after_first.early_solved);
   // Shared read-only bundles: same immutable object for the same key.
   const WorkloadSpec ia = make_ia();
   EXPECT_EQ(catalog.bundle(ia, 1, Exploration::HeadOnly).get(),
             catalog.bundle(ia, 1, Exploration::HeadOnly).get());
+  // The memo changes nothing: a warm catalog plans exactly what a fresh
+  // one solves, for every family.
+  PolicyCatalog fresh(coarse);
+  for (const WorkloadSpec& wl : {make_ia(), make_va()}) {
+    for (const std::string& name : fleet_policy_names()) {
+      EXPECT_EQ(catalog.plan_sizes(name, wl, wl.slo(1), 1, 1700),
+                fresh.plan_sizes(name, wl, wl.slo(1), 1, 1700))
+          << name << " on " << wl.name;
+    }
+  }
 }
 
 TEST(FleetPolicies, PolicyChangesTenantBehavior) {

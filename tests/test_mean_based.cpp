@@ -35,6 +35,23 @@ class MeanBasedTest : public ::testing::Test {
 
 std::vector<LatencyProfile>* MeanBasedTest::profiles_ = nullptr;
 
+TEST_F(MeanBasedTest, SharedTableDecidesLikeOwnTable) {
+  MeanBasedPolicy own(profiles(), 3.0, 1, 1000, 3000, 250);
+  const auto table = std::make_shared<const MeanTailTable>(
+      MeanTailTable::build(profiles(), 1, 1000, 3000, 250));
+  MeanBasedPolicy shared(table, 3.0);
+  const RequestDraw draw;
+  for (std::size_t stage = 0; stage < profiles().size(); ++stage) {
+    for (Seconds elapsed : {0.0, 0.4, 1.1, 2.0, 2.9, 3.5}) {
+      EXPECT_EQ(own.size_for_stage(stage, elapsed, draw),
+                shared.size_for_stage(stage, elapsed, draw))
+          << stage << " @" << elapsed;
+    }
+  }
+  EXPECT_THROW(MeanBasedPolicy(nullptr, 3.0), std::invalid_argument);
+  EXPECT_THROW(MeanBasedPolicy(table, 0.0), std::invalid_argument);
+}
+
 TEST_F(MeanBasedTest, IsLateBinding) {
   auto policy = make_mean_based(profiles(), 3.0, 1, 1000, 3000, 250);
   EXPECT_TRUE(policy->late_binding());

@@ -193,6 +193,84 @@ TEST(EmpiricalMerge, EmptyIsIdentity) {
   EXPECT_DOUBLE_EQ(empty.stddev(), a.stddev());
 }
 
+/// Left fold of pairwise merge() — the reference merge_all must match.
+EmpiricalDistribution pairwise_fold(
+    const std::vector<const EmpiricalDistribution*>& parts) {
+  EmpiricalDistribution acc;
+  for (const EmpiricalDistribution* part : parts) acc.merge(*part);
+  return acc;
+}
+
+void expect_bit_equal(const EmpiricalDistribution& a,
+                      const EmpiricalDistribution& b) {
+  EXPECT_EQ(a.sorted_samples(), b.sorted_samples());
+  EXPECT_EQ(a.moment_mean(), b.moment_mean());
+  EXPECT_EQ(a.moment_m2(), b.moment_m2());
+}
+
+TEST(EmpiricalMergeAll, BitEqualToPairwiseFold) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    std::vector<EmpiricalDistribution> members;
+    for (int m = 0; m < 150; ++m) {
+      const int n = static_cast<int>(rng.uniform(0.0, 40.0));
+      if (n == 0) {
+        members.emplace_back();  // empty member
+        continue;
+      }
+      std::vector<double> xs;
+      for (int i = 0; i < n; ++i) {
+        // Coarse rounding on odd members forces ties across members.
+        const double x = rng.lognormal(0.0, 0.8);
+        xs.push_back(m % 2 == 1 ? std::round(x * 20.0) / 20.0 : x);
+      }
+      members.emplace_back(std::move(xs));
+    }
+    std::vector<const EmpiricalDistribution*> parts;
+    for (const auto& d : members) parts.push_back(&d);
+    const EmpiricalDistribution batch = EmpiricalDistribution::merge_all(parts);
+    expect_bit_equal(batch, pairwise_fold(parts));
+    EXPECT_FALSE(batch.empty());
+  }
+}
+
+TEST(EmpiricalMergeAll, SingleMemberIsACopy) {
+  const EmpiricalDistribution only({0.4, 0.1, 0.9, 0.3});
+  const EmpiricalDistribution batch = EmpiricalDistribution::merge_all({&only});
+  expect_bit_equal(batch, only);
+  expect_bit_equal(batch, pairwise_fold({&only}));
+}
+
+TEST(EmpiricalMergeAll, EmptyMembersAreSkipped) {
+  const EmpiricalDistribution empty;
+  const EmpiricalDistribution a({1.0, 2.0}), b({0.5, 3.0, 4.0});
+  EXPECT_TRUE(EmpiricalDistribution::merge_all({}).empty());
+  EXPECT_TRUE(EmpiricalDistribution::merge_all({&empty, &empty}).empty());
+  expect_bit_equal(
+      EmpiricalDistribution::merge_all({&empty, &a, &empty, &b}),
+      pairwise_fold({&empty, &a, &empty, &b}));
+}
+
+TEST(EmpiricalMergeAll, EqualSamplesKeepInputOrder) {
+  // -0.0 == 0.0 under operator<, so only a stable sort reproduces the
+  // pairwise std::merge order (earlier member first) bit for bit.  Enough
+  // members that an unstable introsort would partition, not insertion-sort.
+  std::vector<EmpiricalDistribution> members;
+  for (int m = 0; m < 64; ++m) {
+    members.emplace_back(std::vector<double>{m % 3 == 0 ? 0.0 : -0.0});
+  }
+  std::vector<const EmpiricalDistribution*> parts;
+  for (const auto& d : members) parts.push_back(&d);
+  const EmpiricalDistribution batch = EmpiricalDistribution::merge_all(parts);
+  const EmpiricalDistribution fold = pairwise_fold(parts);
+  ASSERT_EQ(batch.size(), fold.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(std::signbit(batch.sorted_samples()[i]),
+              std::signbit(fold.sorted_samples()[i]))
+        << i;
+  }
+}
+
 // ------------------------------------------------------------ histogram --
 TEST(Histogram, CountsBucketsAndOverflow) {
   Histogram h(0.0, 10.0, 10);
