@@ -1,5 +1,6 @@
 #include "exp/runner.hpp"
 
+#include <cstdint>
 #include <memory>
 
 #include "sim/engine.hpp"
@@ -71,8 +72,12 @@ struct DrawContext {
     return ctx;
   }
 
-  RequestDraw next() {
-    RequestDraw draw;
+  /// Refills `draw` with the next request's randomness.  Clearing (not
+  /// reassigning) keeps the vectors' capacity, so a recycled pool slot
+  /// redraws without allocating.
+  void next_into(RequestDraw& draw) {
+    draw.ws.clear();
+    draw.interference.clear();
     for (std::size_t s = 0; s < models.size(); ++s) {
       const auto& model = models[s];
       draw.ws.push_back(model.sample_ws(concurrency, rng));
@@ -82,6 +87,11 @@ struct DrawContext {
       draw.interference.push_back(
           interference.sample_multiplier(model.dim(), n, rng));
     }
+  }
+
+  RequestDraw next() {
+    RequestDraw draw;
+    next_into(draw);
     return draw;
   }
 };
@@ -98,25 +108,41 @@ std::vector<RequestDraw> draw_requests(const WorkloadSpec& workload,
   return draws;
 }
 
-namespace {
+namespace detail {
 
-/// Per-request execution state machine driven by platform callbacks.  Owns
-/// its draw by value — nothing keeps a 100k-tenant fleet's full draw table
-/// alive, only the O(in-flight) requests actually on the platform.
+/// One in-flight request: a pool slot, recycled LIFO.  A recycled slot
+/// keeps the capacity of its draw and record vectors, so refilling it
+/// allocates nothing once the pool has seen the longest chain it serves.
 struct InFlight {
   RequestDraw draw;
-  std::size_t index = 0;  // request index (live interference rng stream)
-  std::size_t stage = 0;
-  Seconds elapsed = 0.0;
   RequestRecord record;
+  Seconds elapsed = 0.0;
+  std::uint32_t index = 0;  // request index (live interference rng stream)
+  std::uint32_t stage = 0;
+
+  /// Resets the slot for request `i` of a `stages`-stage chain; the detail
+  /// columns are sized (not grown) so completions write them by stage.
+  void reset(std::uint32_t i, std::size_t stages, bool detail) {
+    record.e2e = 0.0;
+    record.cpu_mc = 0.0;
+    record.violated = false;
+    record.sizes.resize(detail ? stages : 0);
+    record.stage_total.resize(detail ? stages : 0);
+    elapsed = 0.0;
+    index = i;
+    stage = 0;
+  }
 };
 
 /// Everything one serve_workload call needs while its events drain.  Owned
-/// by shared_ptr from the scheduled closures; freed when the last request
-/// completes and the closures are destroyed.
+/// by the RequestPool and freed when the tenant's last request completes;
+/// the scheduled closures hold a raw pointer to it.
 struct ServeState {
-  DrawContext draws;              // lazy stream; consumed in index order
+  RequestPool* pool = nullptr;
+  std::size_t pool_index = 0;  // position in pool->states_
+  DrawContext draws;             // lazy stream; consumed in index order
   std::size_t total_requests = 0;
+  std::size_t completed = 0;
   Platform* platform = nullptr;
   SizingPolicy* policy = nullptr;
   RunResult* out = nullptr;
@@ -150,18 +176,79 @@ struct ServeState {
   TraceRing* trace_ring = nullptr;
   std::size_t trace_sample_every = 1;
   std::uint32_t trace_tenant = 0;
+
+  std::uint32_t make_request(std::size_t index);
+  void start_request(std::uint32_t slot);
+  void launch_stage(std::uint32_t slot);
+  void finish_stage(std::uint32_t slot, Millicores size,
+                    const InvocationOutcome& outcome);
+  void schedule_next_arrival();
+  void record_span(const InFlight& req, Millicores size,
+                   const InvocationOutcome& outcome) const;
 };
+
+}  // namespace detail
+
+RequestPool::RequestPool() = default;
+RequestPool::~RequestPool() = default;
+
+JANUS_HOT std::uint32_t RequestPool::acquire() {
+  if (free_.empty()) grow();
+  const std::uint32_t slot = free_.back();
+  free_.pop_back();
+  return slot;
+}
+
+void RequestPool::grow() {
+  // Cold path: one more chunk of slots, once per kChunkSlots of new live
+  // high-water mark.  Chunks never move, so slot addresses stay stable
+  // while the chunk table grows.
+  require(capacity() + kChunkSlots <= UINT32_MAX, "request pool exhausted");
+  const auto base = static_cast<std::uint32_t>(capacity());
+  chunks_.push_back(std::make_unique<detail::InFlight[]>(kChunkSlots));
+  free_.reserve(capacity());
+  // Pushed in reverse so the chunk hands out its slots in address order.
+  for (std::size_t k = kChunkSlots; k-- > 0;) {
+    free_.push_back(base + static_cast<std::uint32_t>(k));
+  }
+}
+
+JANUS_HOT void RequestPool::release(std::uint32_t slot) noexcept {
+  // janus-lint: allow(hot-path-growth) free list capacity is reserved in
+  // grow() for every slot that exists; push_back never reallocates.
+  free_.push_back(slot);
+}
+
+JANUS_HOT detail::InFlight& RequestPool::at(std::uint32_t slot) noexcept {
+  return chunks_[slot / kChunkSlots][slot % kChunkSlots];
+}
+
+void RequestPool::adopt(std::unique_ptr<detail::ServeState> state) {
+  state->pool = this;
+  state->pool_index = states_.size();
+  states_.push_back(std::move(state));
+}
+
+void RequestPool::retire(detail::ServeState& state) noexcept {
+  // Swap-and-pop: O(1), and the moved neighbour learns its new position.
+  const std::size_t i = state.pool_index;
+  std::swap(states_[i], states_.back());
+  states_[i]->pool_index = i;
+  states_.pop_back();  // frees `state`
+}
+
+namespace detail {
 
 /// Fixed-width span from one completed stage invocation.  The span start
 /// is reconstructed as now() - total: the completion event fires exactly
 /// queued+startup+exec simulated seconds after the invocation entered the
 /// platform, so the subtraction is exact in the same sense the simulation
 /// is — identical doubles at any shard count.
-void record_span(const ServeState& st, const InFlight& req,
-                 Millicores size, const InvocationOutcome& outcome) {
+void ServeState::record_span(const InFlight& req, Millicores size,
+                             const InvocationOutcome& outcome) const {
   SpanRecord span;
-  span.tenant = st.trace_tenant;
-  span.request = static_cast<std::uint32_t>(req.index);
+  span.tenant = trace_tenant;
+  span.request = req.index;
   span.stage = static_cast<std::uint16_t>(req.stage);
   span.cold = outcome.cold_start ? 1 : 0;
   span.queued = outcome.queued_s > 0.0 ? 1 : 0;
@@ -169,102 +256,107 @@ void record_span(const ServeState& st, const InFlight& req,
   span.node = outcome.node;
   span.colocated = outcome.colocated;
   span.size_mc = size;
-  span.start_s = st.platform->now() - outcome.total();
+  span.start_s = platform->now() - outcome.total();
   span.queued_s = outcome.queued_s;
   span.startup_s = outcome.startup_s;
   span.exec_s = outcome.exec_s;
   span.interference = outcome.interference;
-  st.trace_ring->record(span);
+  trace_ring->record(span);
 }
 
-void start_request(const std::shared_ptr<ServeState>& st,
-                   const std::shared_ptr<InFlight>& req);
-std::shared_ptr<InFlight> make_request(const std::shared_ptr<ServeState>& st,
-                                       std::size_t index);
-
-void launch_stage(const std::shared_ptr<ServeState>& st,
-                  const std::shared_ptr<InFlight>& req) {
+JANUS_HOT void ServeState::launch_stage(std::uint32_t slot) {
+  InFlight& req = pool->at(slot);
   const Millicores size =
-      st->policy->size_for_stage(req->stage, req->elapsed, req->draw);
+      policy->size_for_stage(req.stage, req.elapsed, req.draw);
   std::optional<double> exo;
-  if (!st->endogenous_interference) {
-    if (st->live_feed != nullptr) {
-      Rng rng =
-          st->live_rng_base.split(req->index * st->stages + req->stage);
-      const int n =
-          st->live_feed->stage_distribution(req->stage).sample(rng);
-      exo = st->interference.sample_multiplier(st->dims[req->stage], n, rng);
+  if (!endogenous_interference) {
+    if (live_feed != nullptr) {
+      const std::size_t stream = std::size_t{req.index} * stages + req.stage;
+      Rng rng = live_rng_base.split(stream);
+      const int n = live_feed->stage_distribution(req.stage).sample(rng);
+      exo = interference.sample_multiplier(dims[req.stage], n, rng);
     } else {
-      exo = req->draw.interference[req->stage];
+      exo = req.draw.interference[req.stage];
     }
   }
-  st->platform->invoke(
-      static_cast<int>(req->stage), size, st->concurrency,
-      req->draw.ws[req->stage], exo,
-      [st, req, size](const InvocationOutcome& outcome) {
-        if (st->trace_ring != nullptr &&
-            req->index % st->trace_sample_every == 0) {
-          record_span(*st, *req, size, outcome);
-        }
-        req->elapsed += outcome.total();
-        req->record.cpu_mc += static_cast<double>(size);
-        if (st->record_detail) {
-          req->record.sizes.push_back(size);
-          req->record.stage_total.push_back(outcome.total());
-        }
-        ++req->stage;
-        if (req->stage < st->stages) {
-          launch_stage(st, req);
-          return;
-        }
-        req->record.e2e = req->elapsed;
-        req->record.violated = req->elapsed > st->slo;
-        st->out->requests.push_back(req->record);
-        if (st->closed_loop && st->next_request < st->total_requests) {
-          // Next request enters the moment this one finished — the
-          // paper's sequential measurement loop, expressed as an event
-          // chain so the engine can be shared.
-          start_request(st, make_request(st, st->next_request++));
-        }
-      });
+  platform->invoke(static_cast<int>(req.stage), size, concurrency,
+                   req.draw.ws[req.stage], exo,
+                   [this, slot, size](const InvocationOutcome& outcome) {
+                     finish_stage(slot, size, outcome);
+                   });
 }
 
-std::shared_ptr<InFlight> make_request(const std::shared_ptr<ServeState>& st,
-                                       std::size_t index) {
+/// The completion-callback body: folds the stage outcome into the slot,
+/// launches the next stage or completes the request.  Completing the
+/// tenant's last request frees this state, so that is the final statement.
+JANUS_HOT void ServeState::finish_stage(std::uint32_t slot, Millicores size,
+                                        const InvocationOutcome& outcome) {
+  InFlight& req = pool->at(slot);
+  if (trace_ring != nullptr && req.index % trace_sample_every == 0) {
+    record_span(req, size, outcome);
+  }
+  req.elapsed += outcome.total();
+  req.record.cpu_mc += static_cast<double>(size);
+  if (record_detail) {
+    req.record.sizes[req.stage] = size;
+    req.record.stage_total[req.stage] = outcome.total();
+  }
+  ++req.stage;
+  if (req.stage < stages) {
+    launch_stage(slot);
+    return;
+  }
+  req.record.e2e = req.elapsed;
+  req.record.violated = req.elapsed > slo;
+  // janus-lint: allow(hot-path-growth) serve_workload reserved the log for
+  // every request up front, so this writes into a preallocated arena chunk.
+  out->requests.push_back(req.record);
+  pool->release(slot);
+  if (closed_loop && next_request < total_requests) {
+    // Next request enters the moment this one finished — the paper's
+    // sequential measurement loop, expressed as an event chain so the
+    // engine can be shared.
+    start_request(make_request(next_request++));
+  }
+  if (++completed == total_requests) pool->retire(*this);
+}
+
+JANUS_HOT std::uint32_t ServeState::make_request(std::size_t index) {
   // Requests start in index order (sequential closed loop, chained
   // open-loop arrivals), so drawing here consumes the 0x5eed stream
   // exactly as the eager draw_requests() table did.
-  auto req = std::make_shared<InFlight>();
-  req->draw = st->draws.next();
-  req->index = index;
-  return req;
+  const std::uint32_t slot = pool->acquire();
+  InFlight& req = pool->at(slot);
+  req.reset(static_cast<std::uint32_t>(index), stages, record_detail);
+  draws.next_into(req.draw);
+  return slot;
 }
 
-void start_request(const std::shared_ptr<ServeState>& st,
-                   const std::shared_ptr<InFlight>& req) {
-  st->policy->on_request_start(req->draw);
-  launch_stage(st, req);
+JANUS_HOT void ServeState::start_request(std::uint32_t slot) {
+  policy->on_request_start(pool->at(slot).draw);
+  launch_stage(slot);
 }
 
 /// Schedules arrival `next_arrival` and, when it fires, the one after it.
-void schedule_next_arrival(const std::shared_ptr<ServeState>& st) {
-  if (st->next_arrival >= st->total_requests) return;
-  const std::size_t i = st->next_arrival++;
-  st->arrival_time = st->process->next(st->arrival_time, st->arrivals_rng);
-  st->engine->schedule_at(st->arrival_time, [st, i] {
-    schedule_next_arrival(st);
-    start_request(st, make_request(st, i));
+JANUS_HOT void ServeState::schedule_next_arrival() {
+  if (next_arrival >= total_requests) return;
+  const std::size_t i = next_arrival++;
+  arrival_time = process->next(arrival_time, arrivals_rng);
+  engine->schedule_at(arrival_time, [this, i] {
+    schedule_next_arrival();
+    start_request(make_request(i));
   });
 }
 
-}  // namespace
+}  // namespace detail
 
-void serve_workload(SimEngine& engine, Platform& platform,
+void serve_workload(SimEngine& engine, RequestPool& pool, Platform& platform,
                     const WorkloadSpec& workload, SizingPolicy& policy,
                     const RunConfig& config, RunResult& out) {
   require(config.slo > 0.0, "SLO must be > 0");
   require(config.requests > 0, "run needs >= 1 request");
-  auto st = std::make_shared<ServeState>();
+  auto owned = std::make_unique<detail::ServeState>();
+  detail::ServeState* st = owned.get();
   st->draws = DrawContext::make(workload, config);
   st->total_requests = static_cast<std::size_t>(config.requests);
   st->platform = &platform;
@@ -288,7 +380,7 @@ void serve_workload(SimEngine& engine, Platform& platform,
     st->live_feed = config.colocation_provider;
     st->live_rng_base = Rng(config.seed).split(0x11feULL);
     st->interference = config.interference;
-    for (const auto& model : workload.chain_models()) {
+    for (const auto& model : st->draws.models) {
       st->dims.push_back(model.dim());
     }
   }
@@ -312,24 +404,30 @@ void serve_workload(SimEngine& engine, Platform& platform,
     st->process = make_arrivals(spec);
     st->arrivals_rng = Rng(config.seed).split(0xa11aULL);
     st->arrival_time = engine.now();
-    schedule_next_arrival(st);
   } else {
     // Closed loop: one request at a time (the paper's 1000-request runs).
     st->closed_loop = true;
     st->next_request = 1;
-    start_request(st, make_request(st, 0));
+  }
+  // The pool owns the state from here until its last request completes.
+  pool.adopt(std::move(owned));
+  if (st->closed_loop) {
+    st->start_request(st->make_request(0));
+  } else {
+    st->schedule_next_arrival();
   }
 }
 
 RunResult run_workload(const WorkloadSpec& workload, SizingPolicy& policy,
                        const RunConfig& config) {
+  RequestPool pool;  // outlives the engine's pending closures
   SimEngine engine;
   PlatformConfig platform_config = config.platform;
   platform_config.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
   Platform platform(engine, platform_config, workload.chain_models(),
                     config.interference);
   RunResult result;
-  serve_workload(engine, platform, workload, policy, config, result);
+  serve_workload(engine, pool, platform, workload, policy, config, result);
   engine.run();
   return result;
 }

@@ -14,9 +14,16 @@
 // arrivals are a chained event ladder with non-decreasing times), the
 // stream is consumed exactly as the historical pre-draw did — bit-identical
 // draws, O(1) live draws per tenant.
+//
+// Per-request state lives in a caller-owned RequestPool (one per engine),
+// not in the scheduled closures: a request occupies a recycled pool slot
+// whose draw and record vectors keep their capacity, and the closures
+// carry only {tenant state pointer, slot index, size} — so a steady-state
+// request performs no heap allocation and no refcount operation.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -96,15 +103,66 @@ struct RunResult {
 RunResult run_workload(const WorkloadSpec& workload, SizingPolicy& policy,
                        const RunConfig& config);
 
+namespace detail {
+struct InFlight;
+struct ServeState;
+}  // namespace detail
+
+/// Owner of serve_workload's per-request and per-tenant state for every
+/// tenant served on one engine.  In-flight requests occupy u32-indexed
+/// slots held in fixed-size chunks (slot addresses never move) and
+/// recycled through a LIFO free list, so the live set — not the request
+/// count, and not each tenant's own peak — sets the footprint.  A
+/// tenant's state is freed when its last request completes; destroying
+/// the pool frees whatever an undrained engine left behind.  Declare the
+/// pool before the engine it serves: pending closures hold raw pointers
+/// into it, and they must never run after the pool is gone.  One engine
+/// runs on one thread, so the pool takes no locks.
+class RequestPool {
+ public:
+  RequestPool();
+  ~RequestPool();
+  RequestPool(const RequestPool&) = delete;
+  RequestPool& operator=(const RequestPool&) = delete;
+
+  /// Slots allocated so far: the live-set high-water mark, rounded up to
+  /// a whole chunk.
+  std::size_t capacity() const noexcept { return chunks_.size() * kChunkSlots; }
+  /// Requests currently in flight across the pool's tenants.
+  std::size_t in_flight() const noexcept { return capacity() - free_.size(); }
+  /// Tenants whose last request has not completed yet.
+  std::size_t live_tenants() const noexcept { return states_.size(); }
+
+ private:
+  friend struct detail::ServeState;
+  friend void serve_workload(SimEngine&, RequestPool&, Platform&,
+                             const WorkloadSpec&, SizingPolicy&,
+                             const RunConfig&, RunResult&);
+
+  static constexpr std::size_t kChunkSlots = 256;
+
+  std::uint32_t acquire();
+  void grow();
+  void release(std::uint32_t slot) noexcept;
+  detail::InFlight& at(std::uint32_t slot) noexcept;
+  void adopt(std::unique_ptr<detail::ServeState> state);
+  void retire(detail::ServeState& state) noexcept;
+
+  std::vector<std::unique_ptr<detail::InFlight[]>> chunks_;
+  std::vector<std::uint32_t> free_;  // LIFO: the hottest slot comes back
+  std::vector<std::unique_ptr<detail::ServeState>> states_;
+};
+
 /// Schedules one workload's full request stream onto a caller-owned engine
 /// and platform (which must wrap the same engine) and appends completed
-/// records to `out` while the caller runs the engine.  `platform`,
-/// `policy`, and `out` must outlive the run; all per-request state lives
-/// in the scheduled closures.  Multiple tenants can serve on one engine: each call uses
-/// only its own platform/policy/rng streams, so a tenant's records are
-/// bit-identical no matter what else shares the calendar — this is what
-/// lets the fleet simulator put one SimEngine per shard.
-void serve_workload(SimEngine& engine, Platform& platform,
+/// records to `out` while the caller runs the engine.  Request state lives
+/// in `pool`, which must serve only this engine; `pool`, `platform`,
+/// `policy`, and `out` must outlive the run.  Multiple tenants can serve
+/// on one engine and pool: each call uses only its own platform/policy/rng
+/// streams, so a tenant's records are bit-identical no matter what else
+/// shares the calendar or the pool — this is what lets the fleet simulator
+/// put one SimEngine and one RequestPool per shard.
+void serve_workload(SimEngine& engine, RequestPool& pool, Platform& platform,
                     const WorkloadSpec& workload, SizingPolicy& policy,
                     const RunConfig& config, RunResult& out);
 

@@ -349,6 +349,10 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
   out.slice_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
 
   const auto shards = static_cast<std::size_t>(config.shards);
+  // One request pool per shard, shared by the shard's tenants so the pool
+  // costs the shard's live set, not each tenant's peak.  Declared before
+  // the engines so it outlives every closure that points into it.
+  std::vector<RequestPool> request_pools(shards);
   std::vector<std::unique_ptr<SimEngine>> engines;
   engines.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
@@ -399,8 +403,8 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
           plan.catalog->config().kmax);
     }
     policies[i] = std::move(policy);
-    serve_workload(engine, *platforms[i], setup.workload, *policies[i],
-                   setup.run, results[i]);
+    serve_workload(engine, request_pools[t % shards], *platforms[i],
+                   setup.workload, *policies[i], setup.run, results[i]);
   }
 
   // Per-tenant cursor over the (append-only) request records so the

@@ -42,13 +42,14 @@
 namespace janus {
 
 /// Inline capture budget for one scheduled event.  The largest producer is
-/// Platform's completion closure (this + indices + InvocationOutcome + the
-/// caller's InvokeFn); exp/runner's open-loop arrival closures are far
-/// smaller.  Both are static_asserted against this budget at their
+/// Platform's completion closure, and the budget is exactly its size:
+/// `this` and two int indices (16) + InvocationOutcome (48) + the caller's
+/// 32-byte InvokeFn = 96 bytes.  exp/runner's open-loop arrival closures are far
+/// smaller (16).  Both are static_asserted against this budget at their
 /// construction sites by InlineFunction itself.  Keep this as small as
 /// those captures allow: slot size times pending events is the pool's
 /// working set, and large-fleet runs keep ~100k events pending.
-inline constexpr std::size_t kEventCaptureBytes = 128;
+inline constexpr std::size_t kEventCaptureBytes = 96;
 using EventFn = InlineFunction<void(), kEventCaptureBytes>;
 
 class SimEngine {

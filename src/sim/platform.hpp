@@ -55,7 +55,7 @@ struct PlatformConfig {
 /// packs pod/node/colocated into what used to be padding: the struct must
 /// stay 48 bytes because it is embedded (with the caller's InvokeFn) in
 /// Platform's completion closure, which sits exactly at the engine's
-/// 128-byte event capture budget.
+/// 96-byte event capture budget.
 struct InvocationOutcome {
   Seconds queued_s = 0.0;     // wait for pod capacity (summed over retries)
   Seconds startup_s = 0.0;    // warm specialize or cold start (summed)
@@ -75,17 +75,18 @@ struct InvocationOutcome {
 };
 static_assert(sizeof(InvocationOutcome) == 48,
               "InvocationOutcome must stay 48 bytes: it is embedded (with "
-              "the caller's InvokeFn) in the completion closure at the "
-              "engine's event capture budget");
+              "the caller's 32-byte InvokeFn) in the 96-byte completion "
+              "closure that sets the engine's event capture budget");
 
 /// Completion callback for one invocation.  Inline (no heap fallback) so
 /// the platform's completion closure — which embeds one of these — fits a
 /// single EventFn slot and the steady-state event path never allocates.
-/// The budget covers exp/runner's launch_stage capture (two shared_ptrs +
-/// a size) with headroom; an oversized capture fails to compile.  Kept
-/// tight deliberately: this type is embedded in every scheduled completion
+/// The budget is exactly exp/runner's launch_stage capture: a tenant-state
+/// pointer, a request-pool slot index and the stage size (16 bytes, no
+/// refcounted handles); an oversized capture fails to compile.  Kept tight
+/// deliberately: this type is embedded in every scheduled completion
 /// event, so its size sets the event slot pool's cache footprint.
-inline constexpr std::size_t kInvokeCaptureBytes = 48;
+inline constexpr std::size_t kInvokeCaptureBytes = 16;
 using InvokeFn =
     InlineFunction<void(const InvocationOutcome&), kInvokeCaptureBytes>;
 

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "model/workloads.hpp"
 #include "policy/policy.hpp"
+#include "sim/engine.hpp"
+#include "sim/platform.hpp"
 
 namespace janus {
 namespace {
@@ -230,6 +235,118 @@ TEST(Runner, RejectsBadConfig) {
   config.requests = 0;
   EXPECT_THROW(run_workload(make_ia(), policy, config),
                std::invalid_argument);
+}
+
+// ------------------------------------------------- shared request pool --
+
+/// A five-stage micro-benchmark chain: longer than IA's and VA's three
+/// stages, so slots recycled across tenants must regrow and then reuse
+/// their per-stage vectors.
+WorkloadSpec micro_chain() {
+  WorkloadSpec spec;
+  spec.name = "micro";
+  spec.models = {make_micro_function(ResourceDim::Cpu),
+                 make_micro_function(ResourceDim::Network),
+                 make_micro_function(ResourceDim::Io),
+                 make_micro_function(ResourceDim::Memory),
+                 make_micro_function(ResourceDim::Cpu)};
+  spec.workflow = Workflow::chain(
+      "micro", {{"a", 0}, {"b", 1}, {"c", 2}, {"d", 3}, {"e", 4}});
+  spec.slo_by_concurrency = {2.0};
+  spec.max_concurrency = 1;
+  return spec;
+}
+
+struct PoolTenant {
+  WorkloadSpec workload;
+  RunConfig config;
+  Millicores size;
+};
+
+/// Open-loop IA, closed-loop VA and an open-loop micro chain: requests of
+/// different stage counts overlap, so one pool's slots pass between them.
+std::vector<PoolTenant> pool_tenants() {
+  PoolTenant ia{make_ia(), RunConfig{}, 1500};
+  ia.config.requests = 300;
+  ia.config.open_loop_rate = 40.0;
+  ia.config.seed = 11;
+  PoolTenant va{make_va(), RunConfig{}, 2000};
+  va.config.slo = 1.5;
+  va.config.requests = 60;
+  va.config.seed = 12;
+  PoolTenant micro{micro_chain(), RunConfig{}, 1000};
+  micro.config.slo = 2.0;
+  micro.config.requests = 300;
+  micro.config.open_loop_rate = 25.0;
+  micro.config.seed = 13;
+  return {ia, va, micro};
+}
+
+/// Every tenant of pool_tenants() on one engine and one pool, each with
+/// its own platform and policy (built exactly as run_workload builds them).
+struct SharedPoolRun {
+  RequestPool pool;  // outlives the engine's pending closures
+  SimEngine engine;
+  std::vector<std::unique_ptr<Platform>> platforms;
+  std::vector<std::unique_ptr<FixedSizingPolicy>> policies;
+  std::vector<RunResult> results;
+
+  explicit SharedPoolRun(const std::vector<PoolTenant>& tenants)
+      : results(tenants.size()) {
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+      const PoolTenant& t = tenants[i];
+      PlatformConfig pc = t.config.platform;
+      pc.seed = t.config.seed ^ 0x9e3779b97f4a7c15ULL;
+      platforms.push_back(std::make_unique<Platform>(
+          engine, pc, t.workload.chain_models(), t.config.interference));
+      policies.push_back(std::make_unique<FixedSizingPolicy>(
+          "fixed", std::vector<Millicores>(t.workload.models.size(), t.size)));
+      serve_workload(engine, pool, *platforms[i], t.workload, *policies[i],
+                     t.config, results[i]);
+    }
+  }
+};
+
+TEST(RequestPool, SharedPoolKeepsEveryTenantBitIdentical) {
+  const std::vector<PoolTenant> tenants = pool_tenants();
+  SharedPoolRun shared(tenants);
+  EXPECT_EQ(shared.pool.live_tenants(), tenants.size());
+  shared.engine.run();
+  EXPECT_EQ(shared.pool.in_flight(), 0u);
+  EXPECT_EQ(shared.pool.live_tenants(), 0u);  // freed at last completion
+  // The pool held the live set, not the 660-request stream.
+  EXPECT_LT(shared.pool.capacity(), 660u);
+
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    const PoolTenant& t = tenants[i];
+    FixedSizingPolicy policy(
+        "fixed", std::vector<Millicores>(t.workload.models.size(), t.size));
+    const RunResult alone = run_workload(t.workload, policy, t.config);
+    const RequestLog& got = shared.results[i].requests;
+    const RequestLog& want = alone.requests;
+    ASSERT_EQ(got.size(), want.size()) << t.workload.name;
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(t.config.requests));
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(got[r].e2e, want[r].e2e) << t.workload.name << " #" << r;
+      EXPECT_EQ(got[r].cpu_mc, want[r].cpu_mc) << t.workload.name;
+      EXPECT_EQ(got[r].violated, want[r].violated) << t.workload.name;
+      EXPECT_EQ(got[r].sizes, want[r].sizes) << t.workload.name;
+      EXPECT_EQ(got[r].stage_total, want[r].stage_total) << t.workload.name;
+    }
+  }
+}
+
+TEST(RequestPool, DestroyedWithRequestsStillPending) {
+  // Stop mid-run: requests are on the platforms, arrivals are still
+  // queued, and every tenant's state is live.  Tearing down the engine,
+  // platforms and pool must free all of it (the ASan build checks for
+  // leaks and use-after-free).
+  const std::vector<PoolTenant> tenants = pool_tenants();
+  SharedPoolRun shared(tenants);
+  shared.engine.run_until(2.0);
+  EXPECT_GT(shared.engine.pending(), 0u);
+  EXPECT_GT(shared.pool.in_flight(), 0u);
+  EXPECT_EQ(shared.pool.live_tenants(), tenants.size());
 }
 
 }  // namespace

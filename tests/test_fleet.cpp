@@ -652,6 +652,7 @@ TEST(Fleet, EpochInfinityMatchesStaticPlanPipeline) {
     const StaticCoLocation provider(per_stage);
     rc.colocation_provider = &provider;
 
+    RequestPool pool;
     SimEngine engine;
     PlatformConfig pc = rc.platform;
     pc.seed = rc.seed ^ 0x9e3779b97f4a7c15ULL;
@@ -659,7 +660,7 @@ TEST(Fleet, EpochInfinityMatchesStaticPlanPipeline) {
     FixedSizingPolicy policy(
         "fixed", std::vector<Millicores>(models.size(), spec.size_mc));
     RunResult out;
-    serve_workload(engine, platform, workload, policy, rc, out);
+    serve_workload(engine, pool, platform, workload, policy, rc, out);
     engine.run();
 
     EXPECT_EQ(fleet.tenants[t].e2e.sorted_samples(),

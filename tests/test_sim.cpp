@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "exp/runner.hpp"
 #include "model/workloads.hpp"
+#include "policy/policy.hpp"
 #include "sim/engine.hpp"
 #include "sim/platform.hpp"
 
@@ -323,7 +325,7 @@ TEST(SimEngine, SteadyStateEventPathDoesNotAllocate) {
     SimEngine* engine;
     Rng* rng;
     int* remaining;
-    double payload[12] = {};  // ~96 capture bytes, like Platform's closure
+    double payload[9] = {};  // 96 capture bytes, like Platform's closure
 
     void operator()() {
       if ((*remaining)-- > 0) {
@@ -359,6 +361,51 @@ TEST(SimEngine, SteadyStateEventPathDoesNotAllocate) {
   const std::size_t allocs_after = g_alloc_count.load();
   EXPECT_EQ(allocs_after - allocs_before, 0u)
       << "steady-state event path allocated";
+}
+
+TEST(SimEngine, SteadyStateRequestPathDoesNotAllocate) {
+  // The whole request path — arrival, draw, sizing, platform invoke,
+  // engine dispatch, completion, record — on one engine, platform and
+  // request pool.  Each pass serves a fresh long open-loop tenant; the
+  // warm-up passes establish the pool's slot count, the recycled slots'
+  // vector capacities, the platform's pods and the engine's buckets (the
+  // SteadyStateEventPathDoesNotAllocate pattern).  The measured pass's
+  // engine.run() must then allocate nothing at all: no per-request
+  // InFlight, no draw regrowth, no refcounted closure.
+  RequestPool pool;
+  SimEngine engine;
+  const WorkloadSpec workload = make_ia();
+  RunConfig config;
+  config.slo = 3.0;
+  config.requests = 4000;
+  config.open_loop_rate = 40.0;
+  config.record_stage_detail = false;
+  PlatformConfig pc = config.platform;
+  pc.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
+  Platform platform(engine, pc, workload.chain_models(),
+                    config.interference);
+  FixedSizingPolicy policy("fixed", {1500, 1500, 1500});
+
+  for (int pass = 0; pass < 2; ++pass) {
+    RunResult warm;
+    serve_workload(engine, pool, platform, workload, policy, config, warm);
+    engine.run();
+    ASSERT_EQ(warm.requests.size(), 4000u);
+  }
+  ASSERT_EQ(engine.pending(), 0u);
+  ASSERT_EQ(pool.in_flight(), 0u);
+  ASSERT_EQ(pool.live_tenants(), 0u);
+
+  RunResult out;
+  serve_workload(engine, pool, platform, workload, policy, config, out);
+  const std::size_t allocs_before = g_alloc_count.load();
+  engine.run();
+  const std::size_t allocs_after = g_alloc_count.load();
+  ASSERT_EQ(out.requests.size(), 4000u);
+  EXPECT_EQ(allocs_after - allocs_before, 0u)
+      << "steady-state request path allocated";
+  // The pool holds the live set, not the request stream.
+  EXPECT_LT(pool.capacity(), 4000u);
 }
 
 // --------------------------------------------------------------- platform --
