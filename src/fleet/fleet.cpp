@@ -32,7 +32,8 @@ std::uint64_t tenant_seed(std::uint64_t fleet_seed, std::size_t tenant) {
 
 /// Everything one tenant needs, derived up front (shard-independent).
 struct TenantSetup {
-  WorkloadSpec workload;
+  /// Points into the immutable workload catalog (workload_by_name).
+  const WorkloadSpec* workload = nullptr;
   RunConfig run;
   /// Chain length, recorded once at plan time: the barrier loop, chaos
   /// preemption and the worker pipes read it every epoch.
@@ -47,8 +48,7 @@ std::string fmt_double(double v) {
 }
 
 /// The tenant's effective SLO — the one rule (explicit or the workload
-/// default) shared by the plan phase and the slice merge, so a merge
-/// process that never planned still labels rows identically.
+/// default) shared by the plan phase and the slice merge.
 Seconds tenant_slo(const TenantSpec& spec, const WorkloadSpec& workload) {
   return spec.slo > 0.0 ? spec.slo : workload.slo(spec.concurrency);
 }
@@ -126,16 +126,16 @@ FleetPlan plan_fleet(const FleetConfig& config) {
             "tenant contention alpha must be >= 0");
     require_fleet_policy(spec.policy);
     TenantSetup setup;
-    setup.workload = workload_by_name(spec.workload);
+    setup.workload = &workload_by_name(spec.workload);
     // Validate the arrival spec *now*: the fleet has no closed-loop
     // tenants, and a bad spec must fail here, not as NaN inside the pod
     // estimate or as a throw on a shard thread.
     (void)make_arrivals(spec.arrivals);
-    const auto models = setup.workload.chain_models();
+    const auto models = setup.workload->chain_models();
     setup.stages = models.size();
 
     RunConfig rc;
-    rc.slo = tenant_slo(spec, setup.workload);
+    rc.slo = tenant_slo(spec, *setup.workload);
     rc.concurrency = spec.concurrency;
     rc.requests = spec.requests;
     rc.seed = tenant_seed(config.seed, t);
@@ -165,7 +165,7 @@ FleetPlan plan_fleet(const FleetConfig& config) {
     // frozen on the static path, shifted at every barrier on the live
     // path.
     const std::vector<Millicores>& plan_mc = plan.catalog->plan_sizes(
-        spec.policy, setup.workload, rc.slo, spec.concurrency, spec.size_mc);
+        spec.policy, *setup.workload, rc.slo, spec.concurrency, spec.size_mc);
     const double rate = spec.arrivals.mean_rate();
     std::vector<int> stage_pods;
     stage_pods.reserve(models.size());
@@ -284,62 +284,34 @@ class PipeLink final : public BarrierLink {
 
 // ---------------------------------------------------------------------------
 
+/// Static-streaming wave size: the most tenants whose simulator state
+/// (platform, policy, request-log arena) is live at once on the
+/// barrier-free streaming path.  Large enough to amortize engine setup,
+/// small enough that a six-figure fleet's peak RSS tracks the wave, not
+/// the fleet.
+constexpr std::size_t kStreamWaveTenants = 4096;
+
 /// Executes tenants [lo, hi) against the (already planned) control plane
 /// and folds their metrics into a slice outcome.  This is the one
 /// execution path: run_fleet's single-process mode runs it over the whole
-/// fleet with a LocalLink, forked workers and CLI slice workers run it
-/// over their range.
-/// Static-streaming wave size: the most tenants whose simulator state
-/// (platform, policy, request-log arena) is live at once on the
-/// barrier-free path.  Large enough to amortize engine setup, small
-/// enough that a six-figure fleet's peak RSS tracks the wave, not the
-/// fleet.
-constexpr std::size_t kStreamWaveTenants = 4096;
-
+/// fleet with a LocalLink, forked workers run it over their range with a
+/// PipeLink.
 FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
                                 std::size_t lo, std::size_t hi,
                                 BarrierLink& link, PhaseProfiler* prof) {
-  const std::size_t slice_n = hi - lo;
   ControlPlane& control = *plan.control;
   ChaosEngine* chaos_eng = plan.chaos_eng.get();
   const bool stream = config.stream_metrics;
-
-  // Six-figure static path: without live barriers nothing triggers the
-  // streaming fold mid-run, so one pass over the slice would hold every
-  // tenant's platform and log simultaneously.  Tenant results are
-  // independent of engine grouping (the same contract that makes shard
-  // and process counts invisible), so run the slice in bounded waves —
-  // each wave builds, simulates, folds, and releases its tenants before
-  // the next begins, capping live simulator state at kStreamWaveTenants.
-  // Every folded quantity is exact under re-association (integer counts,
-  // integer-valued cpu sums, histogram merges), so the wave boundaries
-  // cannot show through in any merged metric.
-  if (stream && !control.live() && slice_n > kStreamWaveTenants) {
-    FleetSliceOutcome acc;
-    for (std::size_t wlo = lo; wlo < hi; wlo += kStreamWaveTenants) {
-      const std::size_t whi = std::min(hi, wlo + kStreamWaveTenants);
-      LocalLink wave_link(control);  // static: exchange never fires
-      FleetSliceOutcome wave =
-          execute_slice(config, plan, wlo, whi, wave_link, nullptr);
-      if (wlo == lo) {
-        acc = std::move(wave);
-        continue;
-      }
-      acc.requests_total += wave.requests_total;
-      acc.violations_total += wave.violations_total;
-      acc.cpu_total += wave.cpu_total;
-      acc.slice_hist.merge(wave.slice_hist);
-      acc.counters.merge(wave.counters);
-      acc.events_executed += wave.events_executed;
-      acc.peak_pending = std::max(acc.peak_pending, wave.peak_pending);
-      acc.sim_end_s = std::max(acc.sim_end_s, wave.sim_end_s);
-      // Control summary and epoch log are wave-invariant on the static
-      // path (epochs = 0, plan-time packing); keep the first wave's.
-    }
-    acc.lo = lo;
-    acc.hi = hi;
-    return acc;
-  }
+  // Without live barriers nothing folds a streamed tenant mid-run, so one
+  // pass over the slice would hold every tenant's platform and log at
+  // once.  Tenant results are independent of engine grouping (the same
+  // contract that makes shard and process counts invisible), so the
+  // slice runs in waves: each builds, simulates, folds and releases its
+  // tenants before the next begins.  Every folded quantity is exact under
+  // re-association (integer counts, integer-valued cpu sums, histogram
+  // counts), so wave boundaries cannot show through in any merged metric.
+  const std::size_t wave_n =
+      stream && !control.live() ? kStreamWaveTenants : hi - lo;
 
   FleetSliceOutcome out;
   out.lo = lo;
@@ -347,110 +319,142 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
   out.stream = stream;
   out.fleet_seed = config.seed;
   out.slice_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
+  if (!stream) out.tenants.reserve(hi - lo);
 
   const auto shards = static_cast<std::size_t>(config.shards);
-  // One request pool per shard, shared by the shard's tenants so the pool
-  // costs the shard's live set, not each tenant's peak.  Declared before
-  // the engines so it outlives every closure that points into it.
+  // One request pool per shard, shared by the shard's tenants (and reused
+  // by every wave) so the pool costs the shard's live set, not each
+  // tenant's peak.  Declared before the engines so it outlives every
+  // closure that points into it.
   std::vector<RequestPool> request_pools(shards);
-  std::vector<std::unique_ptr<SimEngine>> engines;
-  engines.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    engines.push_back(std::make_unique<SimEngine>());
-  }
-  // Observability sinks.  Sized up front so the addresses handed to the
-  // hot-path hooks stay stable; each shard writes only its own tenants'
-  // sinks (and its own engine gauge), so recording needs no locks.  When
-  // obs is off no sink is armed and every hook stays a null-test branch.
-  std::vector<TraceRing> rings;
-  std::vector<ObsCounters> counters(slice_n);
   std::vector<EngineObs> engine_obs(shards);
-  if (config.obs.trace) {
-    rings.reserve(slice_n);
-    for (std::size_t i = 0; i < slice_n; ++i) {
-      rings.emplace_back(config.obs.ring_capacity);
+  ThreadPool pool(shards);
+  for (std::size_t wlo = lo; wlo < hi; wlo += wave_n) {
+    const std::size_t whi = std::min(hi, wlo + wave_n);
+    const std::size_t n = whi - wlo;
+    if (prof != nullptr) prof->begin("plan");
+    // Fresh engines per wave: a drained engine's clock sits at its last
+    // event, and schedule_at clamps earlier times to now().
+    std::vector<std::unique_ptr<SimEngine>> engines;
+    engines.reserve(shards);
+    for (std::size_t s = 0; s < shards; ++s) {
+      engines.push_back(std::make_unique<SimEngine>());
     }
-  }
-  // Platforms and policies sit in unique_ptrs so the streaming fold can
-  // release a completed tenant's simulator state, not just its metrics.
-  std::vector<RunResult> results(slice_n);
-  std::vector<std::unique_ptr<Platform>> platforms(slice_n);
-  std::vector<std::unique_ptr<SizingPolicy>> policies(slice_n);
-  for (std::size_t t = lo; t < hi; ++t) {
-    const std::size_t i = t - lo;
-    TenantSetup& setup = plan.setups[t];
-    const TenantSpec& spec = config.tenants[t];
-    SimEngine& engine = *engines[t % shards];
-    PlatformConfig pc = setup.run.platform;
-    pc.seed = setup.run.seed ^ 0x9e3779b97f4a7c15ULL;
-    platforms[i] = std::make_unique<Platform>(
-        engine, pc, setup.workload.chain_models(), setup.run.interference);
-    if (config.obs.enabled()) {
-      platforms[i]->set_obs(&counters[i]);
-      engines[t % shards]->set_obs(&engine_obs[t % shards]);
-    }
+    // Observability sinks.  Sized up front so the addresses handed to the
+    // hot-path hooks stay stable; each shard writes only its own tenants'
+    // sinks (and its own engine gauge), so recording needs no locks.  When
+    // obs is off no sink is armed and every hook stays a null-test branch.
+    std::vector<TraceRing> rings;
+    std::vector<ObsCounters> counters(n);
     if (config.obs.trace) {
-      setup.run.trace_ring = &rings[i];
-      setup.run.trace_sample_every = config.obs.sample_every;
-      setup.run.trace_tenant = static_cast<std::uint32_t>(t);
+      rings.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        rings.emplace_back(config.obs.ring_capacity);
+      }
     }
-    std::unique_ptr<SizingPolicy> policy =
-        plan.catalog->make_policy(spec.policy, setup.workload, setup.run.slo,
-                                  spec.concurrency, spec.size_mc);
-    if (spec.contention_alpha > 0.0) {
-      policy = std::make_unique<ContentionAwarePolicy>(
-          std::move(policy), *plan.feeds[t], spec.contention_alpha,
-          plan.catalog->config().kmax);
+    // Platforms and policies sit in unique_ptrs so the fold can release a
+    // tenant's simulator state, not just its metrics.
+    std::vector<RunResult> results(n);
+    std::vector<std::unique_ptr<Platform>> platforms(n);
+    std::vector<std::unique_ptr<SizingPolicy>> policies(n);
+    for (std::size_t t = wlo; t < whi; ++t) {
+      const std::size_t i = t - wlo;
+      TenantSetup& setup = plan.setups[t];
+      const TenantSpec& spec = config.tenants[t];
+      SimEngine& engine = *engines[t % shards];
+      PlatformConfig pc = setup.run.platform;
+      pc.seed = setup.run.seed ^ 0x9e3779b97f4a7c15ULL;
+      platforms[i] = std::make_unique<Platform>(
+          engine, pc, setup.workload->chain_models(), setup.run.interference);
+      if (config.obs.enabled()) {
+        platforms[i]->set_obs(&counters[i]);
+        engine.set_obs(&engine_obs[t % shards]);
+      }
+      if (config.obs.trace) {
+        setup.run.trace_ring = &rings[i];
+        setup.run.trace_sample_every = config.obs.sample_every;
+        setup.run.trace_tenant = static_cast<std::uint32_t>(t);
+      }
+      std::unique_ptr<SizingPolicy> policy =
+          plan.catalog->make_policy(spec.policy, *setup.workload,
+                                    setup.run.slo, spec.concurrency,
+                                    spec.size_mc);
+      if (spec.contention_alpha > 0.0) {
+        policy = std::make_unique<ContentionAwarePolicy>(
+            std::move(policy), *plan.feeds[t], spec.contention_alpha,
+            plan.catalog->config().kmax);
+      }
+      policies[i] = std::move(policy);
+      serve_workload(engine, request_pools[t % shards], *platforms[i],
+                     *setup.workload, *policies[i], setup.run, results[i]);
     }
-    policies[i] = std::move(policy);
-    serve_workload(engine, request_pools[t % shards], *platforms[i],
-                   setup.workload, *policies[i], setup.run, results[i]);
-  }
 
-  // Per-tenant cursor over the (append-only) request records so the
-  // timeline's cumulative SLO attainment costs one pass over new records
-  // per barrier, not a rescan.
-  std::vector<std::size_t> slo_cursor(slice_n, 0);
-  std::vector<std::uint64_t> slo_violations(slice_n, 0);
-  std::vector<char> folded(slice_n, 0);
+    // Per-tenant cursor over the (append-only) request records so the
+    // timeline's cumulative SLO attainment costs one pass over new records
+    // per barrier, not a rescan.
+    std::vector<std::size_t> slo_cursor(n, 0);
+    std::vector<std::uint64_t> slo_violations(n, 0);
+    std::vector<char> folded(n, 0);
 
-  // Streaming fold: one column scan, then the tenant's entire simulator
-  // footprint — request log arena, platform, policy — is released.  The
-  // aggregates are exact under any fold order (integer counts, integer-
-  // valued cpu sums), so folding at completion time cannot show through.
-  const auto stream_fold = [&](std::size_t i) {
-    const RequestLog& log = results[i].requests;
-    std::uint64_t viol = 0;
-    double cpu = 0.0;
-    for (const auto& req : log) {
-      viol += req.violated ? 1 : 0;
-      cpu += req.cpu_mc;
-      out.slice_hist.add(req.e2e);
+    // The per-tenant fold: one scan of the request log, the counter fold,
+    // the span drain, then the tenant's simulator footprint — request log
+    // arena, platform, policy — is released.  Streaming runs it as each
+    // tenant completes, the default path at slice end, where it also emits
+    // the tenant's row.  The aggregates are exact under any fold order
+    // (integer counts, integer-valued cpu sums), so the timing cannot show
+    // through.
+    const auto fold = [&](std::size_t i) {
+      const RequestLog& log = results[i].requests;
+      std::uint64_t viol = 0;
+      double cpu = 0.0;
+      for (const auto& req : log) {
+        viol += req.violated ? 1 : 0;
+        cpu += req.cpu_mc;
+        out.slice_hist.add(req.e2e);
+      }
+      out.requests_total += log.size();
+      out.violations_total += viol;
+      out.cpu_total += cpu;
+      slo_cursor[i] = log.size();
+      slo_violations[i] = viol;
+      if (!stream) {
+        TenantFold row;
+        row.requests = log.size();
+        row.violations = viol;
+        row.cpu_sum = cpu;
+        row.coresidency = control.tenant_coresidency(wlo + i);
+        row.e2e = results[i].e2e_distribution();
+        row.e2e_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
+        for (double x : row.e2e.sorted_samples()) row.e2e_hist.add(x);
+        out.tenants.push_back(std::move(row));
+      }
+      // Platform tallies + hook tallies + ring bookkeeping, merged exactly
+      // like the metric distributions.
+      ObsCounters tc = counters[i];
+      tc.invocations = platforms[i]->invocations();
+      tc.cold_starts = platforms[i]->cold_starts();
+      if (config.obs.trace) {
+        tc.spans_recorded = rings[i].recorded();
+        tc.spans_dropped = rings[i].dropped();
+        rings[i].drain_to(out.spans);
+      }
+      out.counters.merge(tc);
+      if (chaos_eng != nullptr) {
+        chaos_eng->add_requeued(platforms[i]->requeued());
+      }
+      results[i].requests.release();
+      platforms[i].reset();
+      policies[i].reset();
+      folded[i] = 1;
+    };
+
+    // Barrier observation buffers, sized once and overwritten every epoch.
+    std::vector<std::vector<int>> observed(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      observed[i].resize(plan.setups[wlo + i].stages);
     }
-    out.requests_total += log.size();
-    out.violations_total += viol;
-    out.cpu_total += cpu;
-    slo_cursor[i] = log.size();
-    slo_violations[i] = viol;
-    ObsCounters tc = counters[i];
-    tc.invocations = platforms[i]->invocations();
-    tc.cold_starts = platforms[i]->cold_starts();
-    out.counters.merge(tc);
-    results[i].requests.release();
-    platforms[i].reset();
-    policies[i].reset();
-    folded[i] = 1;
-  };
+    std::vector<std::vector<int>> full;
 
-  // Barrier observation buffers, sized once and overwritten every epoch.
-  std::vector<std::vector<int>> observed(slice_n);
-  for (std::size_t i = 0; i < slice_n; ++i) {
-    observed[i].resize(plan.setups[lo + i].stages);
-  }
-  std::vector<std::vector<int>> full;
-
-  {
-    ThreadPool pool(shards);
     Seconds epoch_end = control.live() ? control.epoch_s() : kNoEpochs;
     for (;;) {
       // Advance every shard to the barrier (run_until(inf) = run to
@@ -465,10 +469,10 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
         pending = pending || engine->pending() > 0;
       }
       // Publish the per-(tenant, stage) pod demand the slice's Platforms
-      // actually observed this epoch.  A tenant folded away by the
-      // streaming path publishes zeros — exactly what its idle platform
-      // would have reported.
-      for (std::size_t i = 0; i < slice_n; ++i) {
+      // actually observed this epoch.  A tenant already folded away
+      // publishes zeros — exactly what its idle platform would have
+      // reported.
+      for (std::size_t i = 0; i < n; ++i) {
         std::vector<int>& row = observed[i];
         if (!platforms[i]) {
           std::fill(row.begin(), row.end(), 0);
@@ -503,12 +507,12 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
           int killed = 0;
           for (std::size_t s = 0; s < plan.setups[t].stages; ++s) {
             const int busy =
-                platforms[t - lo]->busy_pods_for(static_cast<int>(s));
+                platforms[t - wlo]->busy_pods_for(static_cast<int>(s));
             const int want = static_cast<int>(
                 std::ceil(config.chaos.preempt_fraction *
                           static_cast<double>(busy)));
             killed +=
-                platforms[t - lo]->preempt_busy(static_cast<int>(s), want);
+                platforms[t - wlo]->preempt_busy(static_cast<int>(s), want);
           }
           if (killed > 0) {
             chaos_eng->record_preemption(epoch_idx, epoch_end,
@@ -539,8 +543,8 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
         // the timeline is part of the bit-identical artifact set.
         const EpochSnapshot& snap = control.history().back();
         const ClusterCapacity& cl = control.cluster();
-        for (std::size_t i = 0; i < slice_n; ++i) {
-          const std::size_t t = lo + i;
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t t = wlo + i;
           for (; slo_cursor[i] < results[i].requests.size();
                ++slo_cursor[i]) {
             if (results[i].requests[slo_cursor[i]].violated) {
@@ -578,78 +582,38 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
       if (stream) {
         // Fold (and free) every tenant that finished its stream this
         // epoch — after the timeline read, which still wanted the log.
-        for (std::size_t i = 0; i < slice_n; ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
           if (folded[i] == 0 &&
               results[i].requests.size() ==
-                  static_cast<std::size_t>(config.tenants[lo + i].requests)) {
-            stream_fold(i);
+                  static_cast<std::size_t>(config.tenants[wlo + i].requests)) {
+            fold(i);
           }
         }
       }
       if (prof != nullptr) prof->end();
       epoch_end += control.epoch_s();
     }
-  }
 
-  // ---- Fold the remainder in tenant order (fixed fold => reproducible
-  // bits; in streaming mode only tenants finishing in the last partial
-  // epoch are left).
-  if (stream) {
-    for (std::size_t i = 0; i < slice_n; ++i) {
-      if (folded[i] == 0) stream_fold(i);
+    // Fold the rest in tenant order (a fixed fold order => reproducible
+    // bits; when streaming, only tenants finishing in the last partial
+    // epoch are left).
+    for (std::size_t i = 0; i < n; ++i) {
+      if (folded[i] == 0) fold(i);
     }
-  } else {
-    out.tenants.reserve(slice_n);
-    for (std::size_t i = 0; i < slice_n; ++i) {
-      const std::size_t t = lo + i;
-      const RunResult& r = results[i];
-      TenantFold fold;
-      fold.requests = r.requests.size();
-      std::uint64_t viol = 0;
-      double cpu = 0.0;
-      for (const auto& req : r.requests) {
-        viol += req.violated ? 1 : 0;
-        cpu += req.cpu_mc;
-      }
-      fold.violations = viol;
-      fold.cpu_sum = cpu;
-      fold.coresidency = control.tenant_coresidency(t);
-      fold.e2e = r.e2e_distribution();
-      fold.e2e_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
-      for (double x : fold.e2e.sorted_samples()) fold.e2e_hist.add(x);
-      out.slice_hist.merge(fold.e2e_hist);
-      out.requests_total += fold.requests;
-      out.violations_total += viol;
-      out.cpu_total += cpu;
-      // Tenant-order counter fold: platform tallies + hook tallies + ring
-      // bookkeeping, merged exactly like the metric distributions.
-      ObsCounters tc = counters[i];
-      tc.invocations = platforms[i]->invocations();
-      tc.cold_starts = platforms[i]->cold_starts();
-      if (config.obs.trace) {
-        tc.spans_recorded = rings[i].recorded();
-        tc.spans_dropped = rings[i].dropped();
-        rings[i].drain_to(out.spans);
-      }
-      out.counters.merge(tc);
-      out.tenants.push_back(std::move(fold));
+    for (std::size_t s = 0; s < shards; ++s) {
+      out.events_executed += engines[s]->executed();
+      // Makespan: per-tenant event times are grouping-independent, so the
+      // max over engines is the same number at any shard or wave layout.
+      out.sim_end_s = std::max(out.sim_end_s, engines[s]->last_event_s());
     }
+  }
+  for (const EngineObs& gauge : engine_obs) {
+    out.peak_pending = std::max(out.peak_pending, gauge.peak_pending);
   }
   if (chaos_eng != nullptr) {
-    // Tenant-order fold, like every other merged tally.
-    for (std::size_t i = 0; i < slice_n; ++i) {
-      chaos_eng->add_requeued(platforms[i]->requeued());
-    }
     // The cluster's counter is authoritative: it also covers stranding
     // during post-failure regrowth at reconcile, not just eviction time.
     chaos_eng->set_stranded_total(control.cluster().stranded_pods());
-  }
-  for (std::size_t s = 0; s < shards; ++s) {
-    out.events_executed += engines[s]->executed();
-    out.peak_pending = std::max(out.peak_pending, engine_obs[s].peak_pending);
-    // Makespan: per-tenant event times are grouping-independent, so the
-    // max over engines is the same number at any shard layout.
-    out.sim_end_s = std::max(out.sim_end_s, engines[s]->last_event_s());
   }
   out.epochs = control.epochs_run();
   out.final_nodes = control.cluster().nodes();
@@ -1024,22 +988,6 @@ FleetResult run_fleet(const FleetConfig& config) {
   prof.end();
   out.obs.phases = prof.phases();
   return out;
-}
-
-FleetSliceOutcome run_fleet_slice(const FleetConfig& config, std::size_t lo,
-                                  std::size_t hi) {
-  validate_fleet(config);
-  require(lo < hi && hi <= config.tenants.size(),
-          "slice bounds must satisfy lo < hi <= tenants");
-  require(config.epoch_s == kNoEpochs,
-          "slice workers are restricted to the static path (epoch_s = "
-          "infinity): live barriers need run_fleet's in-process fork "
-          "coordination channel");
-  require(!config.chaos.enabled(),
-          "slice workers require chaos off (chaos tallies are fleet-wide)");
-  FleetPlan plan = plan_fleet(config);
-  LocalLink link(*plan.control);  // static: exchange never continues
-  return execute_slice(config, plan, lo, hi, link, nullptr);
 }
 
 std::vector<TenantSpec> make_tenant_mix(

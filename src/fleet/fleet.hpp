@@ -23,8 +23,8 @@
 // draws shift mid-run.  epoch_s = kNoEpochs freezes the plan packing: the
 // old static pipeline as a one-epoch special case of the same code.
 // Fleet-wide metrics (latency distribution, histogram, SLO violation rate,
-// CPU cost) fold per-tenant results with EmpiricalDistribution::merge and
-// Histogram::merge.
+// CPU cost) fold per-tenant results with EmpiricalDistribution::merge_all
+// and Histogram::merge.
 #pragma once
 
 #include <cstdint>
@@ -222,21 +222,12 @@ struct FleetResult {
 /// a tenant slice and return outcomes over pipes (see FleetConfig).
 FleetResult run_fleet(const FleetConfig& config);
 
-/// Executes tenants [lo, hi) of `config` in this process and returns the
-/// slice outcome — the worker half of the file-based sharding path
-/// (`janus_cli fleet --shard-slice LO:HI --result-bin FILE`).  Plans the
-/// whole fleet (the plan is a pure function of the config, so every slice
-/// process derives the identical packing) but simulates only the slice.
-/// Restricted to the static path (epoch_s == kNoEpochs): live barriers
-/// need the coordination channel only run_fleet's fork path provides.
-FleetSliceOutcome run_fleet_slice(const FleetConfig& config, std::size_t lo,
-                                  std::size_t hi);
-
-/// Merges slice outcomes (contiguous, covering every tenant exactly once)
-/// into a FleetResult, folding in tenant-index order — the single merge
-/// path shared by run_fleet itself, its forked workers' blobs, and
-/// `janus_cli fleet --merge-slices`.  Bit-identical to an in-process run
-/// of the same config.
+/// Merges slice outcomes into a FleetResult, folding in tenant-index
+/// order — the single merge path for run_fleet's in-process slice and its
+/// forked workers' decoded blobs.  Throws std::invalid_argument unless the
+/// slices tile [0, tenants) contiguously with no gap or overlap, share one
+/// `stream` flag and control-plane summary (epochs, final_nodes), and
+/// carry `config`'s fleet seed.
 FleetResult merge_fleet_slices(const FleetConfig& config,
                                std::vector<FleetSliceOutcome> slices);
 

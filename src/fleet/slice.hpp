@@ -1,18 +1,18 @@
 // Slice outcomes: the unit of fleet merging.
 //
 // A "slice" is a contiguous tenant-index range [lo, hi) executed by one
-// process.  Every run_fleet execution — single-process, forked multi-
-// process (FleetConfig::processes), or a standalone `janus_cli fleet
-// --shard-slice` worker — produces FleetSliceOutcome values, and one
-// merge path (merge_fleet_slices) assembles them into a FleetResult in
-// tenant-index order.  One code path means the multi-process result is
-// the in-process result by construction, not by parallel maintenance.
+// process.  Every run_fleet execution — single-process or forked multi-
+// process (FleetConfig::processes) — produces FleetSliceOutcome values,
+// and one merge path (merge_fleet_slices) assembles them into a
+// FleetResult in tenant-index order.  One code path means the
+// multi-process result is the in-process result by construction, not by
+// parallel maintenance.
 //
 // Outcomes are self-contained: they carry the slice bounds, the streaming
 // flag, the folded metrics, and the control-plane summary (identical in
 // every worker — each reconciles the same full observation matrix), so a
-// blob written by one process can be decoded and merged by another with
-// nothing but the original FleetConfig.
+// worker's blob decodes and merges in the parent with nothing but the
+// original FleetConfig.
 #pragma once
 
 #include <cstddef>

@@ -147,9 +147,13 @@ FunctionModel make_micro_function(ResourceDim dim) {
   return FunctionModel(p);
 }
 
-WorkloadSpec workload_by_name(const std::string& name) {
-  if (name == "ia" || name == "IA") return make_ia();
-  if (name == "va" || name == "VA") return make_va();
+const WorkloadSpec& workload_by_name(const std::string& name) {
+  // Built on first use (thread-safe static initialization) and never
+  // mutated afterwards, so every tenant and thread can share one spec.
+  static const WorkloadSpec ia = make_ia();
+  static const WorkloadSpec va = make_va();
+  if (name == "ia" || name == "IA") return ia;
+  if (name == "va" || name == "VA") return va;
   throw_invalid("unknown workload (expected ia or va): " + name);
 }
 

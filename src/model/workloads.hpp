@@ -46,8 +46,9 @@ WorkloadSpec make_va();
 
 /// Catalog lookup by name ("ia"/"IA" or "va"/"VA"; throws otherwise).
 /// Single source of truth for every front end that names workloads
-/// (janus_cli, fleet tenant specs).
-WorkloadSpec workload_by_name(const std::string& name);
+/// (janus_cli, fleet tenant specs).  Returns a process-lifetime immutable
+/// spec, so a fleet shares one per workload instead of one per tenant.
+const WorkloadSpec& workload_by_name(const std::string& name);
 
 /// §II-B micro-benchmark function dominated by `dim` (AES encryption,
 /// Redis read, local-disk write, socket communication).

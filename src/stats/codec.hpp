@@ -1,10 +1,9 @@
 // Compact binary codec for the fleet's mergeable metrics.
 //
 // This is the wire format between `run_fleet` and its forked worker
-// processes (and between `janus_cli fleet --shard-slice` runs and a later
-// `--merge-slices` pass): EmpiricalDistribution, Histogram, ObsCounters,
-// epoch snapshots, timeline rows, and span records, encoded
-// field-by-field in explicit little-endian order.
+// processes: EmpiricalDistribution, Histogram, ObsCounters, epoch
+// snapshots, timeline rows, and span records, encoded field-by-field in
+// explicit little-endian order.
 //
 // Contracts the multi-process merge leans on:
 //

@@ -1024,34 +1024,109 @@ TEST(Fleet, MultiProcessBitIdenticalStaticAndLive) {
   }
 }
 
-TEST(Fleet, SliceWorkersAndMergeMatchWholeRun) {
-  // File-based sharding: independent run_fleet_slice calls (each plans
-  // the whole fleet, simulates a slice), blobs through the codec, one
-  // merge — bit-identical to run_fleet.
-  const FleetConfig config = small_fleet(2);
-  const FleetResult whole = run_fleet(config);
-  std::vector<FleetSliceOutcome> slices;
-  slices.push_back(decode_slice(encode_slice(run_fleet_slice(config, 0, 2))));
-  slices.push_back(decode_slice(encode_slice(run_fleet_slice(config, 2, 5))));
-  const FleetResult merged = merge_fleet_slices(config, std::move(slices));
-  expect_fleet_equal(whole, merged);
+/// A hand-built streamed slice of `config` covering tenants [lo, hi): no
+/// simulation, just the fields merge_fleet_slices validates.
+FleetSliceOutcome hand_slice(const FleetConfig& config, std::size_t lo,
+                             std::size_t hi) {
+  FleetSliceOutcome slice;
+  slice.lo = lo;
+  slice.hi = hi;
+  slice.stream = true;
+  slice.fleet_seed = config.seed;
+  slice.slice_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
+  return slice;
+}
 
-  // Gaps, overlaps, or a foreign seed must be rejected.
-  std::vector<FleetSliceOutcome> gap;
-  gap.push_back(run_fleet_slice(config, 0, 2));
-  gap.push_back(run_fleet_slice(config, 3, 5));
-  EXPECT_THROW(merge_fleet_slices(config, std::move(gap)),
-               std::invalid_argument);
-  FleetConfig other = config;
-  other.seed = config.seed + 1;
-  std::vector<FleetSliceOutcome> foreign;
-  foreign.push_back(run_fleet_slice(other, 0, 5));
-  EXPECT_THROW(merge_fleet_slices(config, std::move(foreign)),
-               std::invalid_argument);
-  // Live barriers need the fork path's coordination channel.
-  FleetConfig live = config;
-  live.epoch_s = 5.0;
-  EXPECT_THROW(run_fleet_slice(live, 0, 2), std::invalid_argument);
+/// Expects merge_fleet_slices to reject `slices` as invalid input, through
+/// the check whose message contains `why`.
+void expect_merge_rejects(const FleetConfig& config,
+                          const std::vector<FleetSliceOutcome>& slices,
+                          const std::string& why) {
+  EXPECT_THROW(merge_fleet_slices(config, slices), std::invalid_argument);
+  try {
+    merge_fleet_slices(config, slices);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << "want '" << why << "', got: " << e.what();
+  }
+}
+
+TEST(Fleet, MergeRejectsInconsistentSlices) {
+  const FleetConfig config = small_fleet(1);  // 5 tenants
+  // A valid tiling (handed over out of order) merges.
+  EXPECT_NO_THROW(merge_fleet_slices(
+      config, {hand_slice(config, 2, 5), hand_slice(config, 0, 2)}));
+
+  expect_merge_rejects(config, {}, ">= 1 slice");
+  expect_merge_rejects(config,
+                       {hand_slice(config, 0, 2), hand_slice(config, 3, 5)},
+                       "contiguously");  // gap
+  expect_merge_rejects(config,
+                       {hand_slice(config, 0, 3), hand_slice(config, 2, 5)},
+                       "contiguously");  // overlap
+  expect_merge_rejects(config, {hand_slice(config, 0, 4)},
+                       "cover every tenant");
+
+  FleetSliceOutcome foreign = hand_slice(config, 0, 5);
+  foreign.fleet_seed = config.seed + 1;
+  expect_merge_rejects(config, {foreign}, "different fleet seed");
+
+  FleetSliceOutcome dense = hand_slice(config, 2, 5);
+  dense.stream = false;
+  dense.tenants.resize(3);
+  expect_merge_rejects(config, {hand_slice(config, 0, 2), dense},
+                       "streaming and non-streaming");
+
+  FleetSliceOutcome epochs = hand_slice(config, 2, 5);
+  epochs.epochs = 1;
+  expect_merge_rejects(config, {hand_slice(config, 0, 2), epochs},
+                       "control-plane summary");
+
+  FleetSliceOutcome nodes = hand_slice(config, 2, 5);
+  nodes.final_nodes = 3;
+  expect_merge_rejects(config, {hand_slice(config, 0, 2), nodes},
+                       "control-plane summary");
+}
+
+TEST(Fleet, StreamedStaticWavesMatchTheUnwavedRun) {
+  // More tenants than one static streaming wave holds (4096), so the
+  // streamed run crosses a wave boundary while the default run is one
+  // pass.  Every merged quantity is exact under re-association, so the
+  // two must agree bit-for-bit.
+  FleetConfig config;
+  config.tenants = make_tenant_mix(4100, 2, 8.0, ArrivalKind::Poisson,
+                                   /*mixed_kinds=*/true);
+  config.shards = 1;
+  const FleetResult dense = run_fleet(config);
+  config.stream_metrics = true;
+  const FleetResult lean = run_fleet(config);
+  ASSERT_TRUE(lean.streamed);
+  EXPECT_EQ(lean.total_requests, dense.total_requests);
+  EXPECT_EQ(lean.fleet_violation_rate, dense.fleet_violation_rate);
+  EXPECT_EQ(lean.fleet_mean_cpu_mc, dense.fleet_mean_cpu_mc);
+  ASSERT_EQ(lean.fleet_hist.bins(), dense.fleet_hist.bins());
+  for (std::size_t i = 0; i < dense.fleet_hist.bins(); ++i) {
+    EXPECT_EQ(lean.fleet_hist.bin_count(i), dense.fleet_hist.bin_count(i));
+  }
+  EXPECT_EQ(lean.fleet_hist.underflow(), dense.fleet_hist.underflow());
+  EXPECT_EQ(lean.fleet_hist.overflow(), dense.fleet_hist.overflow());
+  EXPECT_EQ(lean.sim_end_s, dense.sim_end_s);
+  EXPECT_EQ(lean.obs.events_executed, dense.obs.events_executed);
+  EXPECT_EQ(lean.obs.counters.invocations, dense.obs.counters.invocations);
+  EXPECT_EQ(lean.obs.counters.cold_starts, dense.obs.counters.cold_starts);
+  EXPECT_EQ(lean.obs.counters.queued, dense.obs.counters.queued);
+  EXPECT_EQ(lean.obs.counters.spans_recorded,
+            dense.obs.counters.spans_recorded);
+  EXPECT_EQ(lean.obs.counters.spans_dropped, dense.obs.counters.spans_dropped);
+  // Each wave's engine run is attributed to simulate.
+  const auto simulate = [](const FleetResult& r) -> std::uint64_t {
+    for (const auto& phase : r.obs.phases) {
+      if (phase.name == "simulate") return phase.entries;
+    }
+    return 0;
+  };
+  EXPECT_EQ(simulate(dense), 1u);
+  EXPECT_EQ(simulate(lean), 2u);
 }
 
 TEST(Fleet, StreamingMergeKeepsScalarMetricsBitIdentical) {

@@ -135,17 +135,6 @@ int usage(std::FILE* out = stderr) {
       "                  [T0, T1) sim-seconds (composes with every\n"
       "                  --arrivals kind; cannot be combined with --chaos\n"
       "                  flash, which schedules its own windows)\n"
-      "  --shard-slice LO:HI\n"
-      "                  worker mode: plan the whole fleet but simulate\n"
-      "                  only tenants [LO, HI) and write the slice blob to\n"
-      "                  --result-bin (static path only; see\n"
-      "                  --merge-slices)\n"
-      "  --result-bin P  slice blob output path (needs --shard-slice)\n"
-      "  --merge-slices P\n"
-      "                  repeatable: decode the named slice blobs and\n"
-      "                  merge them (under this command line's fleet\n"
-      "                  config) into the ordinary fleet report —\n"
-      "                  bit-identical to an in-process run\n"
       "  --json          machine-readable result on stdout\n"
       "\n"
       "frontier flags (latency-throughput frontier explorer; accepts the\n"
@@ -190,9 +179,6 @@ struct Flags {
   bool stream = false;
   std::string conc;         // per-tenant concurrency list; empty = all 1
   std::string hints_dir;    // committed hints CSVs; empty = synthesize
-  std::string shard_slice;  // "LO:HI" worker range; empty = whole fleet
-  std::string result_bin;   // slice blob output path (with --shard-slice)
-  std::vector<std::string> merge_slices;  // slice blobs to merge
   double rate = 10.0;
   std::string arrivals = "mixed";
   std::string trace;  // CSV path or "synth"; empty = no trace replay
@@ -335,13 +321,6 @@ bool parse_flags(int argc, char** argv, int first, Flags& flags,
       flags.conc = value("--conc");
     } else if (arg == "--hints-dir") {
       flags.hints_dir = value("--hints-dir");
-    } else if (arg == "--shard-slice") {
-      flags.shard_slice = value("--shard-slice");
-    } else if (arg == "--result-bin") {
-      flags.result_bin = value("--result-bin");
-    } else if (arg == "--merge-slices") {
-      // Repeatable: --merge-slices a.bin --merge-slices b.bin ...
-      flags.merge_slices.push_back(value("--merge-slices"));
     } else if (arg == "--rate") {
       flags.rate = parse_double(value("--rate"), "--rate");
     } else if (arg == "--slo-target") {
@@ -428,7 +407,7 @@ void write_artifact(const std::string& path, const char* what,
 }
 
 int cmd_profile(const std::string& name, const std::string& dir) {
-  const WorkloadSpec workload = workload_by_name(name);
+  const WorkloadSpec& workload = workload_by_name(name);
   const auto profiles =
       profile_workload(workload, default_profiler_config(workload));
   for (const auto& profile : profiles) {
@@ -441,7 +420,7 @@ int cmd_profile(const std::string& name, const std::string& dir) {
 
 int cmd_synthesize(const std::string& name, const std::string& dir,
                    double weight, Concurrency conc) {
-  const WorkloadSpec workload = workload_by_name(name);
+  const WorkloadSpec& workload = workload_by_name(name);
   ProfilerConfig prof = default_profiler_config(workload);
   prof.grid.concurrencies = {conc};
   const auto profiles = profile_workload(workload, prof);
@@ -489,7 +468,7 @@ int cmd_lookup(const std::string& path, BudgetMs budget) {
 
 int cmd_serve(const std::string& name, int requests, Seconds slo,
               const Flags& flags) {
-  const WorkloadSpec workload = workload_by_name(name);
+  const WorkloadSpec& workload = workload_by_name(name);
   if (slo <= 0.0) slo = workload.slo(1);
   const auto profiles =
       profile_workload(workload, default_profiler_config(workload));
@@ -601,29 +580,6 @@ std::vector<Concurrency> parse_concs(const std::string& text) {
     start = comma + 1;
   }
   return out;
-}
-
-/// Parses "--shard-slice LO:HI" into a half-open tenant range.
-std::pair<std::size_t, std::size_t> parse_slice(const std::string& text) {
-  const std::size_t colon = text.find(':');
-  if (colon == std::string::npos) {
-    throw_invalid("--shard-slice expects LO:HI (half-open tenant range): " +
-                  text);
-  }
-  const int lo = parse_int(text.substr(0, colon), "--shard-slice LO");
-  const int hi = parse_int(text.substr(colon + 1), "--shard-slice HI");
-  if (lo < 0 || hi <= lo) {
-    throw_invalid("--shard-slice expects 0 <= LO < HI: " + text);
-  }
-  return {static_cast<std::size_t>(lo), static_cast<std::size_t>(hi)};
-}
-
-std::vector<std::uint8_t> read_binary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw_invalid("cannot open slice blob: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return std::vector<std::uint8_t>(text.begin(), text.end());
 }
 
 /// Assembles the FleetConfig described by the shared workload flags —
@@ -775,48 +731,7 @@ FleetConfig build_fleet_config(const Flags& flags) {
 
 int cmd_fleet(const Flags& flags) {
   const FleetConfig config = build_fleet_config(flags);
-  if (!flags.shard_slice.empty() && !flags.merge_slices.empty()) {
-    throw_invalid("--shard-slice (produce a blob) and --merge-slices "
-                  "(consume blobs) are different modes; pick one");
-  }
-  if (!flags.shard_slice.empty()) {
-    // Worker mode: one slice, one binary blob, no report.  The report
-    // flags belong to the merge step.
-    if (flags.result_bin.empty()) {
-      throw_invalid("--shard-slice needs --result-bin <path>");
-    }
-    if (flags.json || !flags.trace_out.empty() ||
-        !flags.obs_timeline.empty()) {
-      throw_invalid("--shard-slice writes a binary slice blob; --json / "
-                    "--trace-out / --obs-timeline apply to --merge-slices");
-    }
-    const auto [lo, hi] = parse_slice(flags.shard_slice);
-    const FleetSliceOutcome slice = run_fleet_slice(config, lo, hi);
-    const std::vector<std::uint8_t> blob = encode_slice(slice);
-    std::ofstream out(flags.result_bin, std::ios::binary);
-    if (!out) throw_invalid("cannot open for write: " + flags.result_bin);
-    out.write(reinterpret_cast<const char*>(blob.data()),
-              static_cast<std::streamsize>(blob.size()));
-    if (!out.good()) throw_invalid("short write: " + flags.result_bin);
-    std::fprintf(stderr, "janus_cli: wrote slice [%zu, %zu) to %s (%zu "
-                 "bytes)\n",
-                 lo, hi, flags.result_bin.c_str(), blob.size());
-    return 0;
-  }
-  if (!flags.result_bin.empty()) {
-    throw_invalid("--result-bin needs --shard-slice");
-  }
-  FleetResult result;
-  if (!flags.merge_slices.empty()) {
-    std::vector<FleetSliceOutcome> slices;
-    slices.reserve(flags.merge_slices.size());
-    for (const std::string& path : flags.merge_slices) {
-      slices.push_back(decode_slice(read_binary(path)));
-    }
-    result = merge_fleet_slices(config, std::move(slices));
-  } else {
-    result = run_fleet(config);
-  }
+  const FleetResult result = run_fleet(config);
   if (!flags.trace_out.empty()) {
     write_artifact(flags.trace_out, "--trace-out",
                    trace_to_chrome_json(result.obs.spans),
@@ -977,9 +892,8 @@ int main(int argc, char** argv) {
     if (cmd == "fleet" && pos.empty()) {
       if (!flags_allowed(flags, {"--tenants", "--requests", "--shards",
                                  "--processes", "--stream", "--conc",
-                                 "--hints-dir", "--shard-slice",
-                                 "--result-bin", "--merge-slices",
-                                 "--seed", "--rate", "--arrivals", "--trace",
+                                 "--hints-dir", "--seed", "--rate",
+                                 "--arrivals", "--trace",
                                  "--nodes", "--node-mc", "--epoch-s",
                                  "--autoscale", "--policy",
                                  "--contention-alpha", "--json",
