@@ -109,15 +109,15 @@ struct ServeState;
 }  // namespace detail
 
 /// Owner of serve_workload's per-request and per-tenant state for every
-/// tenant served on one engine.  In-flight requests occupy u32-indexed
-/// slots held in fixed-size chunks (slot addresses never move) and
-/// recycled through a LIFO free list, so the live set — not the request
-/// count, and not each tenant's own peak — sets the footprint.  A
-/// tenant's state is freed when its last request completes; destroying
-/// the pool frees whatever an undrained engine left behind.  Declare the
-/// pool before the engine it serves: pending closures hold raw pointers
-/// into it, and they must never run after the pool is gone.  One engine
-/// runs on one thread, so the pool takes no locks.
+/// tenant served on one engine (in the fleet, one engine block's tenants).
+/// In-flight requests occupy u32-indexed slots held in fixed-size chunks
+/// (slot addresses never move) and recycled through a LIFO free list, so
+/// the live set — not the request count, and not each tenant's own peak —
+/// sets the footprint.  A tenant's state is freed when its last request
+/// completes; destroying the pool frees whatever an undrained engine left
+/// behind.  Declare the pool before the engine it serves: pending closures
+/// hold raw pointers into it, and they must never run after the pool is
+/// gone.  One engine runs on one thread, so the pool takes no locks.
 class RequestPool {
  public:
   RequestPool();
@@ -139,7 +139,10 @@ class RequestPool {
                              const WorkloadSpec&, SizingPolicy&,
                              const RunConfig&, RunResult&);
 
-  static constexpr std::size_t kChunkSlots = 256;
+  /// Slots per chunk: the footprint rounds up to a whole chunk per pool,
+  /// and the fleet keeps one pool per engine block (about 64 tenants, a
+  /// live set of tens of requests), so chunks stay that small.
+  static constexpr std::size_t kChunkSlots = 64;
 
   std::uint32_t acquire();
   void grow();
@@ -156,12 +159,14 @@ class RequestPool {
 /// Schedules one workload's full request stream onto a caller-owned engine
 /// and platform (which must wrap the same engine) and appends completed
 /// records to `out` while the caller runs the engine.  Request state lives
-/// in `pool`, which must serve only this engine; `pool`, `platform`,
-/// `policy`, and `out` must outlive the run.  Multiple tenants can serve
-/// on one engine and pool: each call uses only its own platform/policy/rng
-/// streams, so a tenant's records are bit-identical no matter what else
-/// shares the calendar or the pool — this is what lets the fleet simulator
-/// put one SimEngine and one RequestPool per shard.
+/// in `pool`, which must serve only this engine until it drains (a drained
+/// pool may serve a fresh engine); `pool`, `platform`, `policy`, and `out`
+/// must outlive the run.  Multiple tenants can serve on one engine and
+/// pool: each call uses only its own platform/policy/rng streams, so a
+/// tenant's records are bit-identical no matter what else shares the
+/// calendar or the pool — this is what lets the fleet simulator put one
+/// SimEngine and one RequestPool per block of about 64 tenants, and run a
+/// shard's blocks one after another.
 void serve_workload(SimEngine& engine, RequestPool& pool, Platform& platform,
                     const WorkloadSpec& workload, SizingPolicy& policy,
                     const RunConfig& config, RunResult& out);

@@ -45,7 +45,8 @@ int ClusterCapacity::pack_pods(Group& group, int count) {
   }
   const Millicores pod_mc = group.pod_mc;
   // This group's pods per node, from its current placement.
-  std::vector<int> per_node(used_.size(), 0);
+  std::vector<int>& per_node = per_node_;
+  per_node.assign(used_.size(), 0);
   for (int n : group.nodes) ++per_node[static_cast<std::size_t>(n)];
   for (int p = 0; p < count; ++p) {
     int best = -1;
@@ -80,7 +81,8 @@ int ClusterCapacity::pack_pods(Group& group, int count) {
 }
 
 void ClusterCapacity::release_pods(Group& group, int count) {
-  std::vector<int> per_node(used_.size(), 0);
+  std::vector<int>& per_node = per_node_;
+  per_node.assign(used_.size(), 0);
   for (int n : group.nodes) ++per_node[static_cast<std::size_t>(n)];
   for (int p = 0; p < count; ++p) {
     // Release from the node where the group is thinnest (spills unwind
@@ -136,7 +138,7 @@ Millicores ClusterCapacity::group_pod_mc(int group) const {
 }
 
 double ClusterCapacity::group_coresidency(int group) const {
-  return mean_coresidency(assignment(group));
+  return mean_coresidency(assignment(group), per_node_);
 }
 
 void ClusterCapacity::resize_group(int group, int count) {
@@ -264,11 +266,12 @@ ClusterCapacity::ScaleEvent ClusterCapacity::autoscale_step(
   return event;
 }
 
-double ClusterCapacity::mean_coresidency(const std::vector<int>& assignment) {
+double ClusterCapacity::mean_coresidency(const std::vector<int>& assignment,
+                                         std::vector<int>& per_node) {
   if (assignment.empty()) return 0.0;
   int max_node = 0;
   for (int n : assignment) max_node = n > max_node ? n : max_node;
-  std::vector<int> per_node(static_cast<std::size_t>(max_node) + 1, 0);
+  per_node.assign(static_cast<std::size_t>(max_node) + 1, 0);
   for (int n : assignment) ++per_node[static_cast<std::size_t>(n)];
   double total = 0.0;
   for (int n : assignment) {

@@ -133,8 +133,14 @@ class ClusterCapacity {
 
   /// Mean same-group co-residency of a placement: the average, over pods,
   /// of how many of the group's pods share that pod's node.  An empty
-  /// placement has no pods co-resident with anything: 0.
-  static double mean_coresidency(const std::vector<int>& assignment);
+  /// placement has no pods co-resident with anything: 0.  `per_node` is
+  /// scratch space (overwritten), so repeated calls reuse one buffer.
+  static double mean_coresidency(const std::vector<int>& assignment,
+                                 std::vector<int>& per_node);
+  static double mean_coresidency(const std::vector<int>& assignment) {
+    std::vector<int> per_node;
+    return mean_coresidency(assignment, per_node);
+  }
 
  private:
   struct Group {
@@ -160,6 +166,10 @@ class ClusterCapacity {
   std::vector<std::pair<int, int>> orders_;
   int overcommitted_ = 0;
   int stranded_ = 0;
+  /// Per-node pod counts reused by packing, release and co-residency
+  /// queries (the control plane runs them for every group at every
+  /// barrier).  The cluster is only touched from one thread.
+  mutable std::vector<int> per_node_;
 };
 
 }  // namespace janus

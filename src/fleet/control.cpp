@@ -1,6 +1,7 @@
 #include "fleet/control.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/log.hpp"
 
@@ -10,6 +11,15 @@ void EpochFeed::set_stage(std::size_t stage, CoLocationDistribution dist) {
   require(stage < per_stage_.size(),
           "epoch feed does not cover this chain stage");
   per_stage_[stage] = std::move(dist);
+  means_[stage] = std::numeric_limits<double>::quiet_NaN();
+}
+
+void EpochFeed::set_stage_mean(std::size_t stage, double mean) {
+  require(stage < per_stage_.size(),
+          "epoch feed does not cover this chain stage");
+  if (mean == means_[stage]) return;
+  per_stage_[stage].concentrate(mean);
+  means_[stage] = mean;
 }
 
 ControlPlane::ControlPlane(ClusterConfig cluster, ControlConfig config)
@@ -37,8 +47,7 @@ void ControlPlane::broadcast(std::size_t tenant) {
   const TenantGroups& groups = tenants_[tenant];
   EpochFeed& feed = feeds_[tenant];
   for (std::size_t s = 0; s < groups.group_ids.size(); ++s) {
-    feed.set_stage(s, CoLocationDistribution::concentrated(
-                          cluster_.group_coresidency(groups.group_ids[s])));
+    feed.set_stage_mean(s, cluster_.group_coresidency(groups.group_ids[s]));
   }
 }
 

@@ -78,7 +78,10 @@ struct EpochSnapshot {
 /// ThreadPool's dispatch/join orders the accesses.
 class EpochFeed final : public CoLocationProvider {
  public:
-  EpochFeed(std::size_t stages, bool live) : per_stage_(stages), live_(live) {}
+  EpochFeed(std::size_t stages, bool live)
+      : per_stage_(stages),
+        means_(stages, std::numeric_limits<double>::quiet_NaN()),
+        live_(live) {}
 
   const CoLocationDistribution& stage_distribution(
       std::size_t stage) const override {
@@ -89,10 +92,19 @@ class EpochFeed final : public CoLocationProvider {
   std::size_t stages() const noexcept override { return per_stage_.size(); }
   bool live() const noexcept override { return live_; }
 
+  /// Replaces the stage's distribution outright.
   void set_stage(std::size_t stage, CoLocationDistribution dist);
+  /// Sets the stage to CoLocationDistribution::concentrated(mean), in
+  /// place and only when `mean` differs from the last one set: the
+  /// distribution is a pure function of its mean, so the per-barrier
+  /// broadcast allocates nothing.
+  void set_stage_mean(std::size_t stage, double mean);
 
  private:
   std::vector<CoLocationDistribution> per_stage_;
+  /// Mean each stage was last concentrated at; NaN (never equal) after
+  /// construction or a set_stage override.
+  std::vector<double> means_;
   bool live_ = false;
 };
 

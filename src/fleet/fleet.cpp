@@ -286,10 +286,27 @@ class PipeLink final : public BarrierLink {
 
 /// Static-streaming wave size: the most tenants whose simulator state
 /// (platform, policy, request-log arena) is live at once on the
-/// barrier-free streaming path.  Large enough to amortize engine setup,
-/// small enough that a six-figure fleet's peak RSS tracks the wave, not
-/// the fleet.
+/// barrier-free streaming path.  Large enough to amortize per-wave set-up
+/// and give every shard many engine blocks, small enough that a
+/// six-figure fleet's peak RSS tracks the wave, not the fleet.
 constexpr std::size_t kStreamWaveTenants = 4096;
+
+/// Tenants per engine block: each shard runs its tenants as a sequence of
+/// small engines so only one block's calendar, platforms, request slots
+/// and logs are cache-hot at a time.  Sweep on a 4-core VM, median of 5
+/// janus_cli runs of the three perfbench fleets: seconds in the simulate
+/// phase (coordinate for huge-streamed, 2 processes) and huge-streamed
+/// peak RSS in MiB.  One engine per shard measured 0.92 / 0.79 / 1.31 s
+/// and 94.7 MiB.
+///   tenants/block   long-streams  many-tenants-live  huge-streamed  RSS
+///   16              0.61          0.40               0.59           101.6
+///   32              0.68          0.47               0.66           100.7
+///   64              0.63          0.46               0.73            99.2
+///   128             0.63          0.43               0.70            98.0
+/// Time is flat within run-to-run spread from 16 to 128 while every block
+/// adds an engine and a request pool, so RSS climbs as blocks shrink; 64
+/// is the smallest block that keeps peak RSS within 5% of one engine.
+constexpr std::size_t kBlockTenants = 64;
 
 /// Executes tenants [lo, hi) against the (already planned) control plane
 /// and folds their metrics into a slice outcome.  This is the one
@@ -322,23 +339,41 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
   if (!stream) out.tenants.reserve(hi - lo);
 
   const auto shards = static_cast<std::size_t>(config.shards);
-  // One request pool per shard, shared by the shard's tenants (and reused
-  // by every wave) so the pool costs the shard's live set, not each
-  // tenant's peak.  Declared before the engines so it outlives every
-  // closure that points into it.
-  std::vector<RequestPool> request_pools(shards);
+  // A wave of n tenants splits into contiguous, near-equal engine blocks
+  // (wave tenant i -> block i*B/n), B a multiple of the shard count so
+  // block b runs on shard b % shards and the shards stay balanced.  The
+  // same engine-grouping contract makes the block layout invisible.
+  const auto blocks_for = [shards](std::size_t n) {
+    const std::size_t round = shards * kBlockTenants;
+    return shards * ((n + round - 1) / round);
+  };
+  // One request pool per block slot, reused by every wave (a pool serves
+  // exactly one engine at a time), so the pool costs the block's live
+  // set, not each tenant's peak.  Declared before the engines so it
+  // outlives every closure that points into it.  The first wave is the
+  // largest, so it sets the slot count.
+  std::vector<RequestPool> request_pools(
+      blocks_for(std::min(wave_n, hi - lo)));
   std::vector<EngineObs> engine_obs(shards);
   ThreadPool pool(shards);
   for (std::size_t wlo = lo; wlo < hi; wlo += wave_n) {
     const std::size_t whi = std::min(hi, wlo + wave_n);
     const std::size_t n = whi - wlo;
+    const std::size_t blocks = blocks_for(n);
+    // Wave tenant i runs in block i * blocks / n, so block b holds wave
+    // tenants [first(b), first(b + 1)).
+    const auto first = [n, blocks](std::size_t b) {
+      return (b * n + blocks - 1) / blocks;
+    };
     if (prof != nullptr) prof->begin("plan");
     // Fresh engines per wave: a drained engine's clock sits at its last
     // event, and schedule_at clamps earlier times to now().
     std::vector<std::unique_ptr<SimEngine>> engines;
-    engines.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
+    engines.reserve(blocks);
+    for (std::size_t b = 0; b < blocks; ++b) {
       engines.push_back(std::make_unique<SimEngine>());
+      // One occupancy gauge per shard, written only by the shard's thread.
+      if (config.obs.enabled()) engines[b]->set_obs(&engine_obs[b % shards]);
     }
     // Observability sinks.  Sized up front so the addresses handed to the
     // hot-path hooks stay stable; each shard writes only its own tenants'
@@ -359,17 +394,15 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
     std::vector<std::unique_ptr<SizingPolicy>> policies(n);
     for (std::size_t t = wlo; t < whi; ++t) {
       const std::size_t i = t - wlo;
+      const std::size_t b = i * blocks / n;
       TenantSetup& setup = plan.setups[t];
       const TenantSpec& spec = config.tenants[t];
-      SimEngine& engine = *engines[t % shards];
+      SimEngine& engine = *engines[b];
       PlatformConfig pc = setup.run.platform;
       pc.seed = setup.run.seed ^ 0x9e3779b97f4a7c15ULL;
       platforms[i] = std::make_unique<Platform>(
           engine, pc, setup.workload->chain_models(), setup.run.interference);
-      if (config.obs.enabled()) {
-        platforms[i]->set_obs(&counters[i]);
-        engine.set_obs(&engine_obs[t % shards]);
-      }
+      if (config.obs.enabled()) platforms[i]->set_obs(&counters[i]);
       if (config.obs.trace) {
         setup.run.trace_ring = &rings[i];
         setup.run.trace_sample_every = config.obs.sample_every;
@@ -385,7 +418,7 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
             plan.catalog->config().kmax);
       }
       policies[i] = std::move(policy);
-      serve_workload(engine, request_pools[t % shards], *platforms[i],
+      serve_workload(engine, request_pools[b], *platforms[i],
                      *setup.workload, *policies[i], setup.run, results[i]);
     }
 
@@ -457,31 +490,31 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
 
     Seconds epoch_end = control.live() ? control.epoch_s() : kNoEpochs;
     for (;;) {
-      // Advance every shard to the barrier (run_until(inf) = run to
-      // drain — the static path does exactly one pass).
+      // Advance every block to the barrier (run_until(inf) = run to
+      // drain — the static path does exactly one pass), each shard its
+      // blocks in turn.  On the live path each block then publishes the
+      // per-(tenant, stage) pod demand its Platforms actually observed
+      // this epoch, while the block is still hot.  A tenant already
+      // folded away publishes zeros — exactly what its idle platform
+      // would have reported.
       if (prof != nullptr) prof->begin("simulate");
       pool.parallel_for(shards, [&](std::size_t s) {
-        engines[s]->run_until(epoch_end);
+        for (std::size_t b = s; b < blocks; b += shards) {
+          engines[b]->run_until(epoch_end);
+          if (!control.live()) continue;
+          for (std::size_t i = first(b); i < first(b + 1); ++i) {
+            if (platforms[i]) {
+              platforms[i]->take_peak_busy(observed[i]);
+            } else {
+              std::fill(observed[i].begin(), observed[i].end(), 0);
+            }
+          }
+        }
       });
       if (prof != nullptr) prof->end();
       bool pending = false;
       for (const auto& engine : engines) {
         pending = pending || engine->pending() > 0;
-      }
-      // Publish the per-(tenant, stage) pod demand the slice's Platforms
-      // actually observed this epoch.  A tenant already folded away
-      // publishes zeros — exactly what its idle platform would have
-      // reported.
-      for (std::size_t i = 0; i < n; ++i) {
-        std::vector<int>& row = observed[i];
-        if (!platforms[i]) {
-          std::fill(row.begin(), row.end(), 0);
-          continue;
-        }
-        for (std::size_t s = 0; s < row.size(); ++s) {
-          row[s] = platforms[i]->peak_busy_for(static_cast<int>(s));
-        }
-        platforms[i]->reset_peak_busy();
       }
       if (!link.exchange(pending, observed, full)) break;
       if (prof != nullptr) prof->begin("reconcile");
@@ -600,11 +633,12 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
     for (std::size_t i = 0; i < n; ++i) {
       if (folded[i] == 0) fold(i);
     }
-    for (std::size_t s = 0; s < shards; ++s) {
-      out.events_executed += engines[s]->executed();
+    for (const auto& engine : engines) {
+      out.events_executed += engine->executed();
       // Makespan: per-tenant event times are grouping-independent, so the
-      // max over engines is the same number at any shard or wave layout.
-      out.sim_end_s = std::max(out.sim_end_s, engines[s]->last_event_s());
+      // max over engines is the same number at any shard, block or wave
+      // layout.
+      out.sim_end_s = std::max(out.sim_end_s, engine->last_event_s());
     }
   }
   for (const EngineObs& gauge : engine_obs) {

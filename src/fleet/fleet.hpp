@@ -1,10 +1,13 @@
 // Sharded multi-tenant fleet simulator.
 //
-// Runs N tenant workloads concurrently: tenants are dealt round-robin
-// across S shards, each shard owns one deterministic SimEngine driven on
-// the shared ThreadPool, and every tenant's randomness derives from the
-// fleet seed and its tenant index alone — so fleet results are
-// bit-identical regardless of the shard count.
+// Runs N tenant workloads concurrently: tenants are cut into contiguous
+// blocks of about 64, each block owns one deterministic SimEngine, and the
+// blocks are dealt round-robin across S shards, each shard running its
+// blocks in turn on the shared ThreadPool (so only one block's state is
+// cache-hot at a time).  Every tenant's randomness derives from the fleet
+// seed and its tenant index alone, and no tenant's results depend on which
+// engine it shares — so fleet results are bit-identical regardless of the
+// shard count.
 //
 // Each tenant sizes its stages with a pluggable policy (fleet/policies):
 // the default "fixed" allocation, or any of the paper's §V systems —
@@ -74,7 +77,7 @@ struct FleetConfig {
   std::vector<TenantSpec> tenants;
   int shards = 1;
   /// Worker *processes*: > 1 forks workers, each owning a contiguous slice
-  /// of tenants with its own `shards` engines.  Barriers synchronize over
+  /// of tenants with its own `shards` shard threads.  Barriers synchronize over
   /// pipes (every worker reconciles the identical full observation
   /// matrix), and slice outcomes merge in tenant-index order — results are
   /// bit-identical to processes = 1.  Requires chaos off (chaos preemption
@@ -147,8 +150,8 @@ struct TenantResult {
 /// functions of (seed, config) — merged in tenant-index order and
 /// bit-identical at any shard count — while `phases` (wall-clock) and
 /// `peak_pending` (calendar occupancy, which depends on which tenants
-/// share a shard) are machine/layout-dependent, the same carve-out
-/// FleetResult makes for wall_seconds.
+/// share an engine block) are machine/layout-dependent, the same
+/// carve-out FleetResult makes for wall_seconds.
 struct FleetObs {
   ObsCounters counters;
   /// Sampled spans, drained from the per-tenant rings in tenant order
@@ -156,14 +159,16 @@ struct FleetObs {
   std::vector<SpanRecord> spans;
   /// One row per (barrier, tenant, stage) (empty unless obs.timeline).
   std::vector<TimelineRow> timeline;
-  /// Σ events executed across shard engines (a per-tenant sum, so it is
+  /// Σ events executed across block engines (a per-tenant sum, so it is
   /// shard-independent).
   std::uint64_t events_executed = 0;
   // ---- Machine-dependent (reporting only, never compared bit-for-bit).
   /// Wall-clock breakdown of run_fleet: plan / simulate / reconcile /
   /// merge, in first-entry order.
   std::vector<PhaseProfiler::Phase> phases;
-  /// Max calendar occupancy across shard engines (0 when obs is off).
+  /// Max calendar occupancy of any one block engine (0 when obs is off);
+  /// measured per block, so it tracks the block size, not the shard's
+  /// tenant count.
   std::uint64_t peak_pending = 0;
 };
 

@@ -70,7 +70,7 @@ struct FleetSliceOutcome {
   std::vector<SpanRecord> spans;        // slice tenants, tenant order
   std::vector<TimelineRow> timeline;    // slice tenants, (epoch, t, s) order
   std::uint64_t events_executed = 0;
-  std::uint64_t peak_pending = 0;       // machine/layout-dependent
+  std::uint64_t peak_pending = 0;       // per block engine; layout-dependent
 
   // Control-plane summary — identical across slices of one run.
   int epochs = 0;

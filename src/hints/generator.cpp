@@ -131,14 +131,15 @@ RawHint HintsGenerator::solve_single(std::size_t j, BudgetMs t) const {
   RawHint hint;
   hint.budget = t;
   for (std::size_t ki = 0; ki < cores_.size(); ++ki) {
-    ++probes_;
     if (lat(j, 99, ki) <= t) {
+      probes_.fetch_add(ki + 1, std::memory_order_relaxed);
       hint.sizes = {cores_[ki]};
       hint.head_percentile = 99;
       hint.expected_cost = config_.weight * widths_[j] * cores_[ki];
       return hint;
     }
   }
+  probes_.fetch_add(cores_.size(), std::memory_order_relaxed);
   return hint;  // infeasible: empty sizes
 }
 
@@ -150,11 +151,12 @@ RawHint HintsGenerator::solve_head_only(
   Percentile best_p = 0;
   std::size_t best_ki = 0;
   BudgetMs best_rem = 0;
+  std::uint64_t probes = 0;
 
   for (Percentile p : candidates) {
     const double prob = static_cast<double>(p) / 100.0;
     for (std::size_t ki = 0; ki < cores_.size(); ++ki) {
-      ++probes_;
+      ++probes;
       const BudgetMs rem = t - lat(j, p, ki);
       if (rem < 0 || !tail_.feasible(j + 1, rem)) continue;
       const BudgetMs d = lat(j, 99, ki) - lat(j, p, ki);
@@ -177,6 +179,7 @@ RawHint HintsGenerator::solve_head_only(
       }
     }
   }
+  probes_.fetch_add(probes, std::memory_order_relaxed);
   if (best_cost >= 0.0) {
     best.sizes.push_back(cores_[best_ki]);
     const auto z = tail_.allocation(j + 1, best_rem);
@@ -197,6 +200,7 @@ RawHint HintsGenerator::solve_head_and_next(
   Percentile best_p1 = 99, best_p2 = 99;
   std::size_t best_k1 = 0, best_k2 = 0;
   BudgetMs best_rem2 = 0;
+  std::uint64_t probes = 0;
 
   const bool has_deep_tail = n_sub > 2;
   for (Percentile p1 : candidates) {
@@ -209,7 +213,7 @@ RawHint HintsGenerator::solve_head_and_next(
         const double prob2 = static_cast<double>(p2) / 100.0;
         if (!has_deep_tail && p2 != 99) continue;
         for (std::size_t k2 = 0; k2 < cores_.size(); ++k2) {
-          ++probes_;
+          ++probes;
           const BudgetMs rem2 = rem1 - lat(j + 1, p2, k2);
           if (rem2 < 0) continue;
           const BudgetMs d2 = lat(j + 1, 99, k2) - lat(j + 1, p2, k2);
@@ -248,6 +252,7 @@ RawHint HintsGenerator::solve_head_and_next(
       }
     }
   }
+  probes_.fetch_add(probes, std::memory_order_relaxed);
   if (best_cost >= 0.0) {
     best.sizes = {cores_[best_k1], cores_[best_k2]};
     if (has_deep_tail) {

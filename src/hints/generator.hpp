@@ -127,7 +127,10 @@ class HintsGenerator {
   /// widths_[j]: instances stage j provisions; suffix_width_[j]: Σ_{i>=j}.
   std::vector<int> widths_;
   std::vector<int> suffix_width_;
-  /// Probe counter is shared by the parallel budget sweep.
+  /// Probe counter shared by the parallel budget sweep.  Each solve counts
+  /// locally and adds once: a per-probe atomic increment made the workers
+  /// contend for this line (and the hot members beside it), at a cost
+  /// that swung with the generator's stack alignment.
   mutable std::atomic<std::uint64_t> probes_{0};
 };
 

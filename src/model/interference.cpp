@@ -77,16 +77,20 @@ CoLocationDistribution CoLocationDistribution::for_concurrency(Concurrency c) {
 
 CoLocationDistribution CoLocationDistribution::concentrated(double mean) {
   CoLocationDistribution dist;
+  dist.concentrate(mean);
+  return dist;
+}
+
+void CoLocationDistribution::concentrate(double mean) {
   if (!(mean > 1.0)) {  // also catches NaN
-    dist.weights = {1.0};
-    return dist;
+    weights.assign(1, 1.0);
+    return;
   }
   const double lo = std::floor(mean);
   const double frac = mean - lo;
-  dist.weights.assign(static_cast<std::size_t>(std::ceil(mean)), 0.0);
-  dist.weights[static_cast<std::size_t>(lo) - 1] = 1.0 - frac;
-  if (frac > 0.0) dist.weights.back() = frac;
-  return dist;
+  weights.assign(static_cast<std::size_t>(std::ceil(mean)), 0.0);
+  weights[static_cast<std::size_t>(lo) - 1] = 1.0 - frac;
+  if (frac > 0.0) weights.back() = frac;
 }
 
 const CoLocationDistribution& StaticCoLocation::stage_distribution(

@@ -78,6 +78,9 @@ struct CoLocationDistribution {
   /// co-location — computed from cluster bin-packing — back into the
   /// interference model.
   static CoLocationDistribution concentrated(double mean);
+  /// Rewrites this distribution as concentrated(mean) in place, reusing
+  /// the weights' capacity.
+  void concentrate(double mean);
 };
 
 /// Source of per-stage co-location distributions for a request stream.

@@ -27,8 +27,16 @@ Platform::Platform(SimEngine& engine, PlatformConfig config,
   // Pre-warm the generic pool, spread round-robin across nodes (Fission's
   // PoolManager keeps a pool of generic pods that get specialized on first
   // use, which is what gives it "excellent performance against cold starts").
+  // Each container is allocated once at its steady size: pods_ and the
+  // generic list hold the whole pool, and each function's warm list its
+  // pre-warm share (what completions push back without scale-out).
   const int generic = config_.pool.prewarm_per_function *
                       static_cast<int>(functions_.size());
+  const auto share =
+      static_cast<std::size_t>(std::max(config_.pool.prewarm_per_function, 0));
+  pods_.reserve(share * functions_.size());
+  idle_[0].reserve(share * functions_.size());
+  for (std::size_t fn = 1; fn < idle_.size(); ++fn) idle_[fn].reserve(share);
   for (int i = 0; i < generic; ++i) {
     Pod pod;
     pod.node = i % config_.nodes;
@@ -225,8 +233,10 @@ JANUS_HOT void Platform::finish_invocation(int pod_index, int fn_index,
   p.busy = false;
   --busy_per_cell_[cell(p.node, fn_index)];
   --busy_per_function_[static_cast<std::size_t>(fn_index)];
-  // janus-lint: allow(hot-path-growth) the idle list previously held
-  // this pod, so its capacity is already sufficient.
+  // janus-lint: allow(hot-path-growth) the warm list is reserved to the
+  // function's pre-warm share at construction; it regrows only once the
+  // function holds more pods than that (a specialization or cold start
+  // past its share), amortized over pod creation, never per invocation.
   idle_[static_cast<std::size_t>(fn_index) + 1].push_back(pod_index);
   done(outcome);
 
@@ -355,8 +365,13 @@ int Platform::peak_busy_for(int fn_index) const {
   return peak_busy_per_function_[static_cast<std::size_t>(fn_index)];
 }
 
-void Platform::reset_peak_busy() {
-  peak_busy_per_function_ = busy_per_function_;
+void Platform::take_peak_busy(std::vector<int>& peaks) {
+  require(peaks.size() == functions_.size(),
+          "peak buffer needs one entry per function");
+  std::copy(peak_busy_per_function_.begin(), peak_busy_per_function_.end(),
+            peaks.begin());
+  std::copy(busy_per_function_.begin(), busy_per_function_.end(),
+            peak_busy_per_function_.begin());
 }
 
 std::size_t Platform::queued_invocations() const noexcept {

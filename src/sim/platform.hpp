@@ -125,12 +125,14 @@ class Platform {
   int busy_pods_for(int fn_index) const;
 
   /// High-water mark of concurrently busy pods of `fn_index` since the
-  /// last reset_peak_busy() — the per-epoch demand signal.
+  /// last take_peak_busy() — the per-epoch demand signal.
   int peak_busy_for(int fn_index) const;
 
-  /// Restarts the peak tracking window at the current busy level (pods
-  /// still running carry their demand into the next window).
-  void reset_peak_busy();
+  /// Copies every function's high-water mark into `peaks` (one entry per
+  /// function, already sized) and restarts the tracking window at the
+  /// current busy level (pods still running carry their demand into the
+  /// next window).  The fleet's epoch barrier calls it once per tenant.
+  void take_peak_busy(std::vector<int>& peaks);
 
   /// Total millicores currently allocated to busy pods (diagnostic).
   Millicores busy_millicores() const;
@@ -282,7 +284,7 @@ class Platform {
   std::vector<int> busy_per_cell_;
   std::vector<int> pods_per_cell_;
   // Per-function busy count and its high-water mark since the last
-  // reset_peak_busy() — the epoch demand signal for the fleet control
+  // take_peak_busy() — the epoch demand signal for the fleet control
   // plane.
   std::vector<int> busy_per_function_;
   std::vector<int> peak_busy_per_function_;

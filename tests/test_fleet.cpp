@@ -19,6 +19,7 @@
 #include "model/trace_synth.hpp"
 #include "model/workloads.hpp"
 #include "sim/engine.hpp"
+#include "stats/codec.hpp"
 
 namespace janus {
 namespace {
@@ -448,6 +449,31 @@ TEST(Cluster, ScaleInRepacksDisplacedGroupsDeterministically) {
   }
   // Scale-in respects the floor and the utilization band.
   EXPECT_GE(std::get<2>(a), 1);
+}
+
+TEST(Control, EpochFeedStageMeanMatchesConcentrated) {
+  // set_stage_mean rewrites the weights in place and skips a repeated
+  // mean; whatever the sequence, the stage must read exactly
+  // concentrated(last mean) — and an outright set_stage in between must
+  // not leave a stale mean that suppresses the next rewrite.
+  EpochFeed feed(2, /*live=*/true);
+  const auto expect_stage = [&feed](std::size_t stage, double mean) {
+    EXPECT_EQ(feed.stage_distribution(stage).weights,
+              CoLocationDistribution::concentrated(mean).weights)
+        << "stage " << stage << " mean " << mean;
+  };
+  for (double mean : {0.4, 1.0, 3.0, 3.4, 3.4, 1.0, 3.0}) {
+    feed.set_stage_mean(0, mean);
+    expect_stage(0, mean);
+  }
+  feed.set_stage_mean(1, 3.4);
+  expect_stage(1, 3.4);
+  feed.set_stage(1, CoLocationDistribution::concentrated(6.0));
+  expect_stage(1, 6.0);
+  feed.set_stage_mean(1, 3.4);  // same mean as before the override
+  expect_stage(1, 3.4);
+  expect_stage(0, 3.0);  // stages are independent
+  EXPECT_THROW(feed.set_stage_mean(2, 1.0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- fleet --
@@ -1127,6 +1153,86 @@ TEST(Fleet, StreamedStaticWavesMatchTheUnwavedRun) {
   };
   EXPECT_EQ(simulate(dense), 1u);
   EXPECT_EQ(simulate(lean), 2u);
+}
+
+/// Expects two runs of one fleet config to agree on everything a run
+/// promises independent of its engine layout: each tenant's samples, the
+/// JSON rendering without its layout- and machine-dependent fields
+/// (shards, phases, peak_pending, wall_seconds) — tenant rows, fleet
+/// metrics, counters, control summary, chaos tallies and log — and the
+/// codec images of the epoch log, timeline and spans.
+void expect_layout_invisible(FleetResult want, FleetResult got) {
+  ASSERT_EQ(got.tenants.size(), want.tenants.size());
+  for (std::size_t t = 0; t < want.tenants.size(); ++t) {
+    EXPECT_EQ(want.tenants[t].e2e.sorted_samples(),
+              got.tenants[t].e2e.sorted_samples())
+        << "tenant " << t;
+  }
+  EXPECT_EQ(want.fleet_e2e.sorted_samples(), got.fleet_e2e.sorted_samples());
+  for (FleetResult* r : {&want, &got}) {
+    r->shards = 0;
+    r->obs.phases.clear();
+    r->obs.peak_pending = 0;
+    r->wall_seconds = 0.0;
+  }
+  EXPECT_EQ(want.to_json(), got.to_json());
+  const auto image = [](const auto& rows) {
+    codec::ByteWriter w;
+    codec::encode(w, rows);
+    return w.take();
+  };
+  // Binary images: a mismatch reports which artifact, not a byte dump.
+  EXPECT_TRUE(image(want.epoch_log) == image(got.epoch_log)) << "epoch log";
+  EXPECT_TRUE(image(want.obs.timeline) == image(got.obs.timeline))
+      << "timeline";
+  EXPECT_TRUE(image(want.obs.spans) == image(got.obs.spans)) << "spans";
+}
+
+TEST(Fleet, EngineBlocksCrossingShardsAreInvisible) {
+  // Enough tenants that every shard runs several engine blocks in
+  // sequence: 209 tenants make 4 blocks at 1 and 2 shards and 6 at 3,
+  // and 209 divides by neither, so block sizes differ.
+  FleetConfig config;
+  config.tenants = make_tenant_mix(209, 6, 8.0, ArrivalKind::Poisson,
+                                   /*mixed_kinds=*/true);
+  config.seed = 4242;
+  config.obs.trace = true;
+  config.obs.sample_every = 3;
+
+  // The static path first: one drain per block, no barriers.
+  config.shards = 1;
+  const FleetResult calm_one = run_fleet(config);
+  ASSERT_FALSE(calm_one.obs.spans.empty());
+  config.shards = 3;
+  {
+    SCOPED_TRACE("static path");
+    expect_layout_invisible(calm_one, run_fleet(config));
+  }
+  // A block that never ran stays pending forever, so the live barrier
+  // loop below would never end: stop at the static diagnosis instead.
+  if (HasFailure()) return;
+
+  // The live run drives every barrier consumer — autoscale, node
+  // failures, preemption, cold-start storms, the timeline and sampled
+  // spans — so a block that ran late, twice or not at all, or published
+  // the wrong observations, would show in some artifact.
+  config.epoch_s = 0.25;
+  config.autoscale.enabled = true;
+  config.chaos = chaos_config_from_spec("failures,preemption,storms");
+  config.obs.timeline = true;
+  config.shards = 1;
+  const FleetResult one = run_fleet(config);
+  ASSERT_GT(one.epochs, 2);
+  ASSERT_GT(one.chaos.node_failures, 0);
+  ASSERT_GT(one.chaos.preempted_pods, 0);
+  ASSERT_GT(one.chaos.storms, 0);
+  ASSERT_FALSE(one.obs.timeline.empty());
+  ASSERT_FALSE(one.obs.spans.empty());
+  for (int shards : {2, 3}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    config.shards = shards;
+    expect_layout_invisible(one, run_fleet(config));
+  }
 }
 
 TEST(Fleet, StreamingMergeKeepsScalarMetricsBitIdentical) {

@@ -517,7 +517,9 @@ TEST(Platform, PeakBusyCountersTrackEpochDemand) {
   // resets it...
   EXPECT_EQ(platform.busy_pods_for(0), 0);
   EXPECT_EQ(platform.peak_busy_for(0), 3);
-  platform.reset_peak_busy();
+  std::vector<int> peaks(2, -1);
+  platform.take_peak_busy(peaks);
+  EXPECT_EQ(peaks, (std::vector<int>{3, 0}));
   // ...and the new window starts from the current busy level.
   EXPECT_EQ(platform.peak_busy_for(0), 0);
   EXPECT_EQ(platform.pods_for_function(0), 3);  // footprint persists
@@ -525,6 +527,43 @@ TEST(Platform, PeakBusyCountersTrackEpochDemand) {
   EXPECT_EQ(platform.peak_busy_for(0), 1);
   engine.run();
   EXPECT_THROW(platform.busy_pods_for(7), std::invalid_argument);
+  std::vector<int> short_buffer(1);
+  EXPECT_THROW(platform.take_peak_busy(short_buffer), std::invalid_argument);
+}
+
+TEST(Platform, PrewarmedCompletionsDoNotAllocate) {
+  // A fresh platform allocates each container once, at construction: with
+  // at most prewarm_per_function invocations of a function in flight,
+  // every pod comes from the generic pool and every completion returns it
+  // to a warm list that was reserved for it.
+  const PlatformConfig config = small_platform();
+  const int share = config.pool.prewarm_per_function;
+  SimEngine engine;
+  const auto invoke_all = [&](Platform& platform) {
+    for (int fn = 0; fn < 2; ++fn) {
+      for (int i = 0; i < share; ++i) {
+        platform.invoke(fn, 1000, 1, 1.0, 1.0,
+                        [](const InvocationOutcome&) {});
+      }
+    }
+  };
+  // Warm-up: the same invocation pattern on throwaway platforms grows the
+  // engine's slot pool and calendar buckets to this run's high-water mark.
+  for (int pass = 0; pass < 2; ++pass) {
+    Platform warm(engine, config, two_models());
+    invoke_all(warm);
+    engine.run();
+  }
+  Platform platform(engine, config, two_models());
+  invoke_all(platform);
+  ASSERT_EQ(platform.cold_starts(), 0u);
+  const std::size_t allocs_before = g_alloc_count.load();
+  engine.run();
+  const std::size_t allocs_after = g_alloc_count.load();
+  EXPECT_EQ(platform.busy_pods_for(0), 0);
+  EXPECT_EQ(platform.busy_pods_for(1), 0);
+  EXPECT_EQ(allocs_after - allocs_before, 0u)
+      << "pre-warmed completions allocated";
 }
 
 TEST(Platform, EndogenousInterferenceGrowsWithColocation) {
