@@ -38,9 +38,15 @@ namespace {
 /// serve_workload and the eager draw_requests() helper consume *the same*
 /// rng in the same order — a draw is a pure function of (seed, index).
 struct DrawContext {
-  std::vector<FunctionModel> models;
-  CoLocationDistribution coloc;
-  std::vector<CoLocationDistribution> per_stage;  // provider snapshot
+  /// Borrowed from the workload spec (which outlives every run on it).
+  const std::vector<FunctionModel>* models = nullptr;
+  /// Stage s draws its co-location count from *per_stage[s]: the frozen
+  /// provider's own distributions, or entries of `owned`.
+  std::vector<const CoLocationDistribution*> per_stage;
+  /// The config's single distribution (no provider) or a live provider's
+  /// snapshot.  Moving the context moves this buffer, so the pointers
+  /// above stay valid.
+  std::vector<CoLocationDistribution> owned;
   Concurrency concurrency = 1;
   InterferenceModel interference;
   Rng rng{0};
@@ -48,23 +54,33 @@ struct DrawContext {
   static DrawContext make(const WorkloadSpec& workload,
                           const RunConfig& config) {
     DrawContext ctx;
-    ctx.models = workload.chain_models();
-    require(config.colocation_provider == nullptr ||
-                config.colocation_provider->stages() == ctx.models.size(),
+    ctx.models = &workload.chain_models();
+    const std::size_t stages = ctx.models->size();
+    const CoLocationProvider* provider = config.colocation_provider;
+    require(provider == nullptr || provider->stages() == stages,
             "co-location provider needs one distribution per chain stage");
-    ctx.coloc =
-        config.colocation_is_default
-            ? CoLocationDistribution::for_concurrency(config.concurrency)
-            : config.colocation;
-    // Snapshot the provider's distributions once: the draw stream must be
-    // consumed identically on every run (paired requests), even when a
-    // live provider shifts under it mid-run.
-    if (config.colocation_provider != nullptr) {
-      ctx.per_stage.reserve(ctx.models.size());
-      for (std::size_t s = 0; s < ctx.models.size(); ++s) {
-        ctx.per_stage.push_back(
-            config.colocation_provider->stage_distribution(s));
+    // A live provider is snapshotted once: the draw stream must be
+    // consumed identically on every run (paired requests), even when the
+    // provider shifts under it mid-run.  A frozen one never shifts, so it
+    // is read in place.
+    if (provider == nullptr) {
+      ctx.owned.push_back(
+          config.colocation_is_default
+              ? CoLocationDistribution::for_concurrency(config.concurrency)
+              : config.colocation);
+    } else if (provider->live()) {
+      ctx.owned.reserve(stages);
+      for (std::size_t s = 0; s < stages; ++s) {
+        ctx.owned.push_back(provider->stage_distribution(s));
       }
+    }
+    ctx.per_stage.reserve(stages);
+    for (std::size_t s = 0; s < stages; ++s) {
+      const CoLocationDistribution* dist =
+          provider == nullptr ? &ctx.owned[0]
+          : provider->live()  ? &ctx.owned[s]
+                              : &provider->stage_distribution(s);
+      ctx.per_stage.push_back(dist);
     }
     ctx.concurrency = config.concurrency;
     ctx.interference = config.interference;
@@ -78,12 +94,13 @@ struct DrawContext {
   void next_into(RequestDraw& draw) {
     draw.ws.clear();
     draw.interference.clear();
-    for (std::size_t s = 0; s < models.size(); ++s) {
-      const auto& model = models[s];
+    // A fresh slot sizes its vectors once instead of growing them.
+    draw.ws.reserve(models->size());
+    draw.interference.reserve(models->size());
+    for (std::size_t s = 0; s < models->size(); ++s) {
+      const auto& model = (*models)[s];
       draw.ws.push_back(model.sample_ws(concurrency, rng));
-      const CoLocationDistribution& dist =
-          per_stage.empty() ? coloc : per_stage[s];
-      const int n = dist.sample(rng);
+      const int n = per_stage[s]->sample(rng);
       draw.interference.push_back(
           interference.sample_multiplier(model.dim(), n, rng));
     }
@@ -362,7 +379,7 @@ void serve_workload(SimEngine& engine, RequestPool& pool, Platform& platform,
   st->platform = &platform;
   st->policy = &policy;
   st->out = &out;
-  st->stages = st->draws.models.size();
+  st->stages = st->draws.models->size();
   st->slo = config.slo;
   st->concurrency = config.concurrency;
   st->endogenous_interference = config.endogenous_interference;
@@ -380,7 +397,7 @@ void serve_workload(SimEngine& engine, RequestPool& pool, Platform& platform,
     st->live_feed = config.colocation_provider;
     st->live_rng_base = Rng(config.seed).split(0x11feULL);
     st->interference = config.interference;
-    for (const auto& model : st->draws.models) {
+    for (const auto& model : *st->draws.models) {
       st->dims.push_back(model.dim());
     }
   }

@@ -65,9 +65,7 @@ ArrivalSpec scale_arrivals(const ArrivalSpec& spec, double factor) {
   return out;
 }
 
-namespace {
-
-void validate_common(const ArrivalSpec& spec) {
+void validate_arrivals(const ArrivalSpec& spec) {
   // A trace defines its own rate; everything else needs the knob.
   if (spec.kind != ArrivalKind::Trace) {
     require(spec.rate > 0.0, "arrival rate must be > 0");
@@ -77,7 +75,32 @@ void validate_common(const ArrivalSpec& spec) {
     require(spec.flash_t0_s >= 0.0 && spec.flash_t1_s > spec.flash_t0_s,
             "flash window must satisfy 0 <= t0 < t1");
   }
+  switch (spec.kind) {
+    case ArrivalKind::Poisson:
+      return;
+    case ArrivalKind::Mmpp:
+      require(spec.burst_rate >= spec.rate,
+              "MMPP burst rate must be >= base rate");
+      require(spec.base_dwell_s > 0.0 && spec.burst_dwell_s > 0.0,
+              "MMPP dwell times must be > 0");
+      return;
+    case ArrivalKind::Diurnal:
+      require(spec.period_s > 0.0, "diurnal period must be > 0");
+      require(spec.amplitude >= 0.0 && spec.amplitude <= 1.0,
+              "diurnal amplitude must be in [0, 1]");
+      return;
+    case ArrivalKind::Trace:
+      require(!spec.trace_gaps.empty(),
+              "trace replay needs >= 1 inter-arrival gap");
+      for (Seconds gap : spec.trace_gaps) {
+        require(gap > 0.0, "trace inter-arrival gaps must be > 0");
+      }
+      return;
+  }
+  throw_invalid("unknown arrival kind");
 }
+
+namespace {
 
 class PoissonArrivals final : public ArrivalProcess {
  public:
@@ -95,12 +118,7 @@ class PoissonArrivals final : public ArrivalProcess {
 
 class MmppArrivals final : public ArrivalProcess {
  public:
-  explicit MmppArrivals(const ArrivalSpec& spec) : spec_(spec) {
-    require(spec.burst_rate >= spec.rate,
-            "MMPP burst rate must be >= base rate");
-    require(spec.base_dwell_s > 0.0 && spec.burst_dwell_s > 0.0,
-            "MMPP dwell times must be > 0");
-  }
+  explicit MmppArrivals(const ArrivalSpec& spec) : spec_(spec) {}
 
   ArrivalKind kind() const noexcept override { return ArrivalKind::Mmpp; }
 
@@ -134,11 +152,7 @@ class MmppArrivals final : public ArrivalProcess {
 
 class DiurnalArrivals final : public ArrivalProcess {
  public:
-  explicit DiurnalArrivals(const ArrivalSpec& spec) : spec_(spec) {
-    require(spec.period_s > 0.0, "diurnal period must be > 0");
-    require(spec.amplitude >= 0.0 && spec.amplitude <= 1.0,
-            "diurnal amplitude must be in [0, 1]");
-  }
+  explicit DiurnalArrivals(const ArrivalSpec& spec) : spec_(spec) {}
 
   ArrivalKind kind() const noexcept override { return ArrivalKind::Diurnal; }
 
@@ -164,12 +178,7 @@ class DiurnalArrivals final : public ArrivalProcess {
 
 class TraceArrivals final : public ArrivalProcess {
  public:
-  explicit TraceArrivals(const ArrivalSpec& spec) : gaps_(spec.trace_gaps) {
-    require(!gaps_.empty(), "trace replay needs >= 1 inter-arrival gap");
-    for (Seconds gap : gaps_) {
-      require(gap > 0.0, "trace inter-arrival gaps must be > 0");
-    }
-  }
+  explicit TraceArrivals(const ArrivalSpec& spec) : gaps_(spec.trace_gaps) {}
 
   ArrivalKind kind() const noexcept override { return ArrivalKind::Trace; }
 
@@ -236,7 +245,7 @@ class FlashArrivals final : public ArrivalProcess {
 }  // namespace
 
 std::unique_ptr<ArrivalProcess> make_arrivals(const ArrivalSpec& spec) {
-  validate_common(spec);
+  validate_arrivals(spec);
   std::unique_ptr<ArrivalProcess> base;
   switch (spec.kind) {
     case ArrivalKind::Poisson:
@@ -252,7 +261,6 @@ std::unique_ptr<ArrivalProcess> make_arrivals(const ArrivalSpec& spec) {
       base = std::make_unique<TraceArrivals>(spec);
       break;
   }
-  if (base == nullptr) throw_invalid("unknown arrival kind");
   if (spec.has_flash()) {
     return std::make_unique<FlashArrivals>(std::move(base), spec.flash_t0_s,
                                            spec.flash_t1_s, spec.flash_k);

@@ -91,6 +91,9 @@ class ArrivalProcess {
   virtual Seconds next(Seconds now, Rng& rng) = 0;
 };
 
+/// Throws std::invalid_argument unless `spec` describes a valid process.
+void validate_arrivals(const ArrivalSpec& spec);
+
 /// Builds the process described by `spec` (validates the spec).
 std::unique_ptr<ArrivalProcess> make_arrivals(const ArrivalSpec& spec);
 

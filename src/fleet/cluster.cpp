@@ -116,6 +116,7 @@ int ClusterCapacity::add_group(int count, Millicores pod_mc) {
   require(count == 0 || pod_mc > 0, "pod size must be > 0");
   Group group;
   group.pod_mc = pod_mc;
+  group.nodes.reserve(static_cast<std::size_t>(count));
   groups_.push_back(std::move(group));
   pack_pods(groups_.back(), count);
   return static_cast<int>(groups_.size()) - 1;

@@ -8,18 +8,19 @@
 namespace janus {
 
 void EpochFeed::set_stage(std::size_t stage, CoLocationDistribution dist) {
-  require(stage < per_stage_.size(),
+  require(stage < stages_.size(),
           "epoch feed does not cover this chain stage");
-  per_stage_[stage] = std::move(dist);
-  means_[stage] = std::numeric_limits<double>::quiet_NaN();
+  stages_[stage].dist = std::move(dist);
+  stages_[stage].mean = std::numeric_limits<double>::quiet_NaN();
 }
 
 void EpochFeed::set_stage_mean(std::size_t stage, double mean) {
-  require(stage < per_stage_.size(),
+  require(stage < stages_.size(),
           "epoch feed does not cover this chain stage");
-  if (mean == means_[stage]) return;
-  per_stage_[stage].concentrate(mean);
-  means_[stage] = mean;
+  Stage& st = stages_[stage];
+  if (mean == st.mean) return;
+  st.dist.concentrate(mean);
+  st.mean = mean;
 }
 
 ControlPlane::ControlPlane(ClusterConfig cluster, ControlConfig config)
@@ -33,11 +34,12 @@ EpochFeed& ControlPlane::plan_tenant(const std::vector<int>& stage_pods,
   require(stage_pods.size() == stage_mc.size(),
           "plan needs one pod size per chain stage");
   TenantGroups groups;
-  groups.group_ids.reserve(stage_pods.size());
+  groups.first = cluster_.group_count();
+  groups.stages = stage_pods.size();
   for (std::size_t s = 0; s < stage_pods.size(); ++s) {
-    groups.group_ids.push_back(cluster_.add_group(stage_pods[s], stage_mc[s]));
+    cluster_.add_group(stage_pods[s], stage_mc[s]);
   }
-  tenants_.push_back(std::move(groups));
+  tenants_.push_back(groups);
   feeds_.emplace_back(stage_pods.size(), live());
   broadcast(tenants_.size() - 1);
   return feeds_.back();
@@ -46,8 +48,9 @@ EpochFeed& ControlPlane::plan_tenant(const std::vector<int>& stage_pods,
 void ControlPlane::broadcast(std::size_t tenant) {
   const TenantGroups& groups = tenants_[tenant];
   EpochFeed& feed = feeds_[tenant];
-  for (std::size_t s = 0; s < groups.group_ids.size(); ++s) {
-    feed.set_stage_mean(s, cluster_.group_coresidency(groups.group_ids[s]));
+  for (std::size_t s = 0; s < groups.stages; ++s) {
+    feed.set_stage_mean(
+        s, cluster_.group_coresidency(groups.first + static_cast<int>(s)));
   }
 }
 
@@ -74,12 +77,12 @@ void ControlPlane::reconcile(Seconds sim_time,
   // pure function of (epoch, fleet seed, tenant set) at any shard count.
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
     const TenantGroups& groups = tenants_[t];
-    require(observed[t].size() == groups.group_ids.size(),
+    require(observed[t].size() == groups.stages,
             "reconcile needs one observation per tenant stage");
-    for (std::size_t s = 0; s < groups.group_ids.size(); ++s) {
+    for (std::size_t s = 0; s < groups.stages; ++s) {
       // An idle stage still keeps one warm pod; demand never drops to 0.
       const int want = std::max(1, observed[t][s]);
-      const int group = groups.group_ids[s];
+      const int group = groups.first + static_cast<int>(s);
       if (want != static_cast<int>(cluster_.assignment(group).size())) {
         cluster_.resize_group(group, want);
         ++snap.groups_resized;
@@ -108,20 +111,21 @@ void ControlPlane::reconcile(Seconds sim_time,
 int ControlPlane::tenant_group(std::size_t tenant, std::size_t stage) const {
   require(tenant < tenants_.size(), "tenant index out of range");
   const TenantGroups& groups = tenants_[tenant];
-  require(stage < groups.group_ids.size(), "stage index out of range");
-  return groups.group_ids[stage];
+  require(stage < groups.stages, "stage index out of range");
+  return groups.first + static_cast<int>(stage);
 }
 
 double ControlPlane::tenant_coresidency(std::size_t tenant) const {
   require(tenant < tenants_.size(), "tenant index out of range");
   const TenantGroups& groups = tenants_[tenant];
   double total = 0.0;
-  for (int group : groups.group_ids) {
+  for (std::size_t s = 0; s < groups.stages; ++s) {
+    const int group = groups.first + static_cast<int>(s);
     // Reporting matches the plan-time convention: a pod is co-resident at
     // least with itself, so an empty (idle) stage reads as 1.
     total += std::max(1.0, cluster_.group_coresidency(group));
   }
-  return total / static_cast<double>(groups.group_ids.size());
+  return total / static_cast<double>(groups.stages);
 }
 
 }  // namespace janus

@@ -78,18 +78,18 @@ struct EpochSnapshot {
 /// ThreadPool's dispatch/join orders the accesses.
 class EpochFeed final : public CoLocationProvider {
  public:
-  EpochFeed(std::size_t stages, bool live)
-      : per_stage_(stages),
-        means_(stages, std::numeric_limits<double>::quiet_NaN()),
-        live_(live) {}
+  /// Each stage starts empty (sampling it throws) until set_stage or
+  /// set_stage_mean fills it — ControlPlane::plan_tenant does so at once,
+  /// so no placeholder distribution is allocated only to be replaced.
+  EpochFeed(std::size_t stages, bool live) : stages_(stages), live_(live) {}
 
   const CoLocationDistribution& stage_distribution(
       std::size_t stage) const override {
-    require(stage < per_stage_.size(),
+    require(stage < stages_.size(),
             "epoch feed does not cover this chain stage");
-    return per_stage_[stage];
+    return stages_[stage].dist;
   }
-  std::size_t stages() const noexcept override { return per_stage_.size(); }
+  std::size_t stages() const noexcept override { return stages_.size(); }
   bool live() const noexcept override { return live_; }
 
   /// Replaces the stage's distribution outright.
@@ -101,10 +101,13 @@ class EpochFeed final : public CoLocationProvider {
   void set_stage_mean(std::size_t stage, double mean);
 
  private:
-  std::vector<CoLocationDistribution> per_stage_;
-  /// Mean each stage was last concentrated at; NaN (never equal) after
-  /// construction or a set_stage override.
-  std::vector<double> means_;
+  struct Stage {
+    CoLocationDistribution dist{{}};
+    /// Mean the stage was last concentrated at; NaN (never equal) after
+    /// construction or a set_stage override.
+    double mean = std::numeric_limits<double>::quiet_NaN();
+  };
+  std::vector<Stage> stages_;
   bool live_ = false;
 };
 
@@ -155,8 +158,11 @@ class ControlPlane {
   }
 
  private:
+  /// A tenant's cluster groups, one per chain stage: plan_tenant adds
+  /// them back to back, so they are the ids [first, first + stages).
   struct TenantGroups {
-    std::vector<int> group_ids;  // one cluster group per chain stage
+    int first = 0;
+    std::size_t stages = 0;
   };
 
   /// Pushes the current packing of tenant t into its feed.

@@ -7,8 +7,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "common/json.hpp"
@@ -30,14 +32,19 @@ std::uint64_t tenant_seed(std::uint64_t fleet_seed, std::size_t tenant) {
       .next();
 }
 
-/// Everything one tenant needs, derived up front (shard-independent).
+/// What plan time fixes per tenant (shard-independent); block set-up
+/// builds the tenant's RunConfig from it on the shard threads.
 struct TenantSetup {
   /// Points into the immutable workload catalog (workload_by_name).
   const WorkloadSpec* workload = nullptr;
-  RunConfig run;
   /// Chain length, recorded once at plan time: the barrier loop, chaos
   /// preemption and the worker pipes read it every epoch.
   std::size_t stages = 0;
+  /// The spec's arrival process, or its chaos flash rewrite.
+  const ArrivalSpec* arrivals = nullptr;
+  /// Co-location source: frozen on the static path, shifted at every
+  /// barrier on the live path.
+  EpochFeed* feed = nullptr;
 };
 
 std::string fmt_double(double v) {
@@ -83,7 +90,7 @@ void validate_fleet(const FleetConfig& config) {
   }
 }
 
-/// The shard-independent plan: catalog artifacts, per-tenant run configs,
+/// The shard-independent plan: catalog artifacts, per-tenant set-ups,
 /// and the control plane's plan-time packing.  Built once; forked worker
 /// processes inherit it copy-on-write, so the synthesis cost is paid once
 /// no matter the process count.
@@ -93,15 +100,18 @@ struct FleetPlan {
   std::unique_ptr<ControlPlane> control;
   std::unique_ptr<ChaosEngine> chaos_eng;
   std::vector<TenantSetup> setups;
-  std::vector<EpochFeed*> feeds;
+  /// Arrival specs rewritten by chaos flash windows (one per tenant when
+  /// chaos is on, else empty).
+  std::vector<ArrivalSpec> flashed;
 };
 
 FleetPlan plan_fleet(const FleetConfig& config) {
   const std::size_t n = config.tenants.size();
   FleetPlan plan;
   // One policy catalog serves every tenant: profiles and hints bundles are
-  // synthesized once per (workload, policy) here, before any shard thread
-  // or worker process exists, and only read afterwards.
+  // synthesized once per (workload, policy) by plan_sizes() below, before
+  // any shard thread or worker process exists, so the shard threads'
+  // make_policy() calls at block set-up are pure lookups.
   if (config.catalog != nullptr) {
     plan.catalog = config.catalog;
   } else {
@@ -117,69 +127,65 @@ FleetPlan plan_fleet(const FleetConfig& config) {
     plan.chaos_eng =
         std::make_unique<ChaosEngine>(config.chaos, config.seed, n);
   }
-  plan.setups.reserve(n);
-  plan.feeds.reserve(n);
+  // Plan sizes and pod counts are computed once per tenant class (policy,
+  // workload, SLO, concurrency, fixed allocation, long-run rate); packing
+  // still runs per tenant, in tenant order.
+  struct PlanClass {
+    const std::vector<Millicores>* sizes = nullptr;
+    std::vector<int> pods;
+  };
+  std::map<std::tuple<std::string, const WorkloadSpec*, Seconds, Concurrency,
+                      Millicores, double>,
+           PlanClass>
+      classes;
+  plan.setups.resize(n);
+  if (plan.chaos_eng) plan.flashed.resize(n);
   for (std::size_t t = 0; t < n; ++t) {
     const TenantSpec& spec = config.tenants[t];
     require(spec.requests > 0, "tenant needs >= 1 request");
     require(spec.contention_alpha >= 0.0,
             "tenant contention alpha must be >= 0");
     require_fleet_policy(spec.policy);
-    TenantSetup setup;
+    // The fleet has no closed-loop tenants, and a bad arrival spec must
+    // fail here, not as NaN inside the pod estimate or as a throw on a
+    // shard thread.
+    validate_arrivals(spec.arrivals);
+    TenantSetup& setup = plan.setups[t];
     setup.workload = &workload_by_name(spec.workload);
-    // Validate the arrival spec *now*: the fleet has no closed-loop
-    // tenants, and a bad spec must fail here, not as NaN inside the pod
-    // estimate or as a throw on a shard thread.
-    (void)make_arrivals(spec.arrivals);
-    const auto models = setup.workload->chain_models();
-    setup.stages = models.size();
-
-    RunConfig rc;
-    rc.slo = tenant_slo(spec, *setup.workload);
-    rc.concurrency = spec.concurrency;
-    rc.requests = spec.requests;
-    rc.seed = tenant_seed(config.seed, t);
-    // Trace replay carries its own rhythm: the open-loop gate just needs a
-    // positive rate (the process ignores it), so use the trace's mean.
-    rc.open_loop_rate = spec.arrivals.kind == ArrivalKind::Trace
-                            ? spec.arrivals.mean_rate()
-                            : spec.arrivals.rate;
-    rc.arrivals = spec.arrivals;
+    setup.stages = setup.workload->chain_models().size();
+    const Seconds slo = tenant_slo(spec, *setup.workload);
+    // Flash crowds rewrite the arrival spec at plan time (the window must
+    // live inside the arrival process).  The pod plan below deliberately
+    // keeps using mean_rate(), which excludes the window: the crowd is a
+    // transient the capacity plan does not see coming.
+    setup.arrivals = &spec.arrivals;
     if (plan.chaos_eng) {
-      // Flash crowds rewrite the arrival spec at plan time (the window
-      // must live inside the arrival process).  The pod plan below
-      // deliberately keeps using mean_rate(), which excludes the window:
-      // the crowd is a transient the capacity plan does not see coming.
-      rc.arrivals = plan.chaos_eng->apply_flash(t, rc.arrivals);
+      plan.flashed[t] = plan.chaos_eng->apply_flash(t, spec.arrivals);
+      setup.arrivals = &plan.flashed[t];
     }
-    rc.platform = config.platform;
-    rc.colocation_is_default = false;
-    // The fleet merge reads only the flat e2e/cpu/violated columns, so
-    // per-stage detail stays off — at six-figure tenant counts the detail
-    // columns would dominate peak RSS for nothing.
-    rc.record_stage_detail = false;
 
     // Steady-state pods per stage (Little's law over the arrival process's
     // long-run rate) at the policy's plan-time allocation seed the control
-    // plane's packing; its feed becomes the tenant's co-location source —
-    // frozen on the static path, shifted at every barrier on the live
-    // path.
-    const std::vector<Millicores>& plan_mc = plan.catalog->plan_sizes(
-        spec.policy, *setup.workload, rc.slo, spec.concurrency, spec.size_mc);
+    // plane's packing; its feed becomes the tenant's co-location source.
     const double rate = spec.arrivals.mean_rate();
-    std::vector<int> stage_pods;
-    stage_pods.reserve(models.size());
-    for (std::size_t s = 0; s < models.size(); ++s) {
-      const Seconds stage_s =
-          models[s].exec_time(plan_mc[s], spec.concurrency, 1.0, 1.0);
-      stage_pods.push_back(
-          std::max(1, static_cast<int>(std::ceil(rate * stage_s))));
+    const auto key =
+        std::make_tuple(spec.policy, setup.workload, slo, spec.concurrency,
+                        spec.policy == "fixed" ? spec.size_mc : 0, rate);
+    auto it = classes.find(key);
+    if (it == classes.end()) {
+      PlanClass cls;
+      cls.sizes = &plan.catalog->plan_sizes(spec.policy, *setup.workload, slo,
+                                            spec.concurrency, spec.size_mc);
+      const auto& models = setup.workload->chain_models();
+      for (std::size_t s = 0; s < models.size(); ++s) {
+        const Seconds stage_s = models[s].exec_time((*cls.sizes)[s],
+                                                    spec.concurrency, 1.0, 1.0);
+        cls.pods.push_back(
+            std::max(1, static_cast<int>(std::ceil(rate * stage_s))));
+      }
+      it = classes.emplace(key, std::move(cls)).first;
     }
-    EpochFeed& feed = plan.control->plan_tenant(stage_pods, plan_mc);
-    plan.feeds.push_back(&feed);
-    rc.colocation_provider = &feed;
-    setup.run = std::move(rc);
-    plan.setups.push_back(std::move(setup));
+    setup.feed = &plan.control->plan_tenant(it->second.pods, *it->second.sizes);
   }
   return plan;
 }
@@ -197,26 +203,22 @@ class BarrierLink {
  public:
   virtual ~BarrierLink() = default;
   /// `local` has one row per slice tenant; on true, `full` has one row
-  /// per fleet tenant.
+  /// per fleet tenant.  Called only on the live path.
   virtual bool exchange(bool local_pending,
                         const std::vector<std::vector<int>>& local,
                         std::vector<std::vector<int>>& full) = 0;
 };
 
 /// Single-process: the slice is the fleet, so the exchange is the
-/// historical in-process break check plus an identity copy.
+/// in-process break check plus an identity copy (row capacity is reused).
 class LocalLink final : public BarrierLink {
  public:
-  explicit LocalLink(const ControlPlane& control) : control_(&control) {}
   bool exchange(bool local_pending, const std::vector<std::vector<int>>& local,
                 std::vector<std::vector<int>>& full) override {
-    if (!local_pending || !control_->live()) return false;
+    if (!local_pending) return false;
     full = local;
     return true;
   }
-
- private:
-  const ControlPlane* control_;
 };
 
 void write_all(int fd, const void* buf, std::size_t size) {
@@ -244,29 +246,29 @@ void read_all(int fd, void* buf, std::size_t size) {
 /// or 'C' plus the full fleet matrix.  A worker never stops unilaterally —
 /// its drained engines still publish (zero) observations until the global
 /// OR says stop, exactly like drained tenants inside a single process.
+/// Both byte buffers are reused across barriers.
 class PipeLink final : public BarrierLink {
  public:
-  PipeLink(int cmd_fd, int obs_fd, bool live, const std::vector<int>* stages)
-      : cmd_fd_(cmd_fd), obs_fd_(obs_fd), live_(live), stages_(stages) {}
+  PipeLink(int cmd_fd, int obs_fd, const std::vector<int>& stages)
+      : cmd_fd_(cmd_fd), obs_fd_(obs_fd), stages_(&stages) {
+    for (int s : stages) full_ints_ += static_cast<std::size_t>(s);
+  }
 
   bool exchange(bool local_pending, const std::vector<std::vector<int>>& local,
                 std::vector<std::vector<int>>& full) override {
-    if (!live_) return false;
-    codec::ByteWriter w;
-    w.u8(local_pending ? 1 : 0);
+    out_.clear();
+    out_.u8(local_pending ? 1 : 0);
     for (const auto& row : local) {
-      for (int v : row) w.i32(v);
+      for (int v : row) out_.i32(v);
     }
-    write_all(obs_fd_, w.bytes().data(), w.bytes().size());
+    write_all(obs_fd_, out_.bytes().data(), out_.bytes().size());
     std::uint8_t cmd = 0;
     read_all(cmd_fd_, &cmd, 1);
     if (cmd == 'S') return false;
     require(cmd == 'C', "fleet worker: unknown barrier command");
-    std::size_t ints = 0;
-    for (int s : *stages_) ints += static_cast<std::size_t>(s);
-    std::vector<std::uint8_t> buf(ints * 4);
-    read_all(cmd_fd_, buf.data(), buf.size());
-    codec::ByteReader r(buf.data(), buf.size());
+    in_.resize(full_ints_ * 4);
+    read_all(cmd_fd_, in_.data(), in_.size());
+    codec::ByteReader r(in_.data(), in_.size());
     full.resize(stages_->size());
     for (std::size_t t = 0; t < stages_->size(); ++t) {
       full[t].resize(static_cast<std::size_t>((*stages_)[t]));
@@ -278,26 +280,21 @@ class PipeLink final : public BarrierLink {
  private:
   int cmd_fd_;
   int obs_fd_;
-  bool live_;
   const std::vector<int>* stages_;  // per-tenant stage counts, all tenants
+  std::size_t full_ints_ = 0;       // entries of the full matrix
+  codec::ByteWriter out_;
+  std::vector<std::uint8_t> in_;
 };
 
 // ---------------------------------------------------------------------------
 
-/// Static-streaming wave size: the most tenants whose simulator state
-/// (platform, policy, request-log arena) is live at once on the
-/// barrier-free streaming path.  Large enough to amortize per-wave set-up
-/// and give every shard many engine blocks, small enough that a
-/// six-figure fleet's peak RSS tracks the wave, not the fleet.
-constexpr std::size_t kStreamWaveTenants = 4096;
-
-/// Tenants per engine block: each shard runs its tenants as a sequence of
-/// small engines so only one block's calendar, platforms, request slots
-/// and logs are cache-hot at a time.  Sweep on a 4-core VM, median of 5
-/// janus_cli runs of the three perfbench fleets: seconds in the simulate
-/// phase (coordinate for huge-streamed, 2 processes) and huge-streamed
-/// peak RSS in MiB.  One engine per shard measured 0.92 / 0.79 / 1.31 s
-/// and 94.7 MiB.
+/// Tenants per engine block, the one unit of per-tenant work: a shard sets
+/// up, runs, folds and releases its blocks in turn, so only one block's
+/// calendar, platforms, request slots and logs are cache-hot at a time.
+/// Sweep on a 4-core VM, median of 5 janus_cli runs of the three perfbench
+/// fleets: seconds in the simulate phase (coordinate for huge-streamed, 2
+/// processes) and huge-streamed peak RSS in MiB.  One engine per shard
+/// measured 0.92 / 0.79 / 1.31 s and 94.7 MiB.
 ///   tenants/block   long-streams  many-tenants-live  huge-streamed  RSS
 ///   16              0.61          0.40               0.59           101.6
 ///   32              0.68          0.47               0.66           100.7
@@ -305,30 +302,68 @@ constexpr std::size_t kStreamWaveTenants = 4096;
 ///   128             0.63          0.43               0.70            98.0
 /// Time is flat within run-to-run spread from 16 to 128 while every block
 /// adds an engine and a request pool, so RSS climbs as blocks shrink; 64
-/// is the smallest block that keeps peak RSS within 5% of one engine.
+/// is the smallest block that kept peak RSS within 5% of one engine.
+/// (Measured when a 4096-tenant wave held all of its blocks at once.)
 constexpr std::size_t kBlockTenants = 64;
+
+/// One engine block's simulator state: the engine and request pool its
+/// tenants share, and one slot per tenant for platform, policy, request
+/// log, hook counters and trace ring.  The static path keeps one per shard
+/// and reloads it block after block — every container keeps its storage,
+/// and platforms are reset in place — while the live path keeps one per
+/// block alive across barriers.
+struct Block {
+  RequestPool pool;  // before the engine: pending closures point into it
+  SimEngine engine;
+  std::size_t lo = 0;  // fleet tenants [lo, hi) currently loaded
+  std::size_t hi = 0;
+  std::vector<std::unique_ptr<Platform>> platforms;
+  std::vector<std::unique_ptr<SizingPolicy>> policies;
+  std::vector<RunResult> results;
+  std::vector<ObsCounters> counters;
+  std::vector<TraceRing> rings;
+  std::vector<char> folded;
+};
+
+/// What one shard's folds accumulate: integer tallies, histogram counts
+/// and maxima only, so combining shards in any order gives the same bits.
+struct ShardFold {
+  Histogram hist{0.0, 1.0, 1};
+  ObsCounters counters;
+  std::uint64_t requests = 0;
+  std::uint64_t violations = 0;
+  std::uint64_t requeued = 0;
+  std::uint64_t events = 0;
+  Seconds sim_end = 0.0;
+};
 
 /// Executes tenants [lo, hi) against the (already planned) control plane
 /// and folds their metrics into a slice outcome.  This is the one
 /// execution path: run_fleet's single-process mode runs it over the whole
 /// fleet with a LocalLink, forked workers run it over their range with a
-/// PipeLink.
+/// PipeLink.  Block set-up, simulation and the per-tenant fold all run on
+/// the shard threads; the caller's plan phase covers the live path's
+/// initial set-up, and one simulate entry per epoch covers the rest
+/// (the static path has exactly one).
 FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
                                 std::size_t lo, std::size_t hi,
                                 BarrierLink& link, PhaseProfiler* prof) {
   ControlPlane& control = *plan.control;
   ChaosEngine* chaos_eng = plan.chaos_eng.get();
   const bool stream = config.stream_metrics;
-  // Without live barriers nothing folds a streamed tenant mid-run, so one
-  // pass over the slice would hold every tenant's platform and log at
-  // once.  Tenant results are independent of engine grouping (the same
-  // contract that makes shard and process counts invisible), so the
-  // slice runs in waves: each builds, simulates, folds and releases its
-  // tenants before the next begins.  Every folded quantity is exact under
-  // re-association (integer counts, integer-valued cpu sums, histogram
-  // counts), so wave boundaries cannot show through in any merged metric.
-  const std::size_t wave_n =
-      stream && !control.live() ? kStreamWaveTenants : hi - lo;
+  const bool live = control.live();
+  const std::size_t n = hi - lo;
+  const auto shards = static_cast<std::size_t>(config.shards);
+  // The slice splits into contiguous, near-equal blocks (slice tenant i ->
+  // block i*B/n), B a multiple of the shard count so block b runs on shard
+  // b % shards and the shards stay balanced.  A tenant's results do not
+  // depend on which tenants share its engine, so the block layout cannot
+  // show in any output.
+  const std::size_t round = shards * kBlockTenants;
+  const std::size_t blocks = shards * ((n + round - 1) / round);
+  const auto first = [lo, n, blocks](std::size_t b) {
+    return lo + (b * n + blocks - 1) / blocks;
+  };
 
   FleetSliceOutcome out;
   out.lo = lo;
@@ -336,192 +371,239 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
   out.stream = stream;
   out.fleet_seed = config.seed;
   out.slice_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
-  if (!stream) out.tenants.reserve(hi - lo);
+  if (!stream) out.tenants.resize(n);
+  // Floating-point sums stay per tenant and are added in tenant order at
+  // the end, so no fold order or block layout can re-associate them; the
+  // spans of each block are concatenated in block (= tenant) order.
+  std::vector<double> tenant_cpu(n, 0.0);
+  std::vector<std::vector<SpanRecord>> block_spans(
+      config.obs.trace ? blocks : 0);
+  std::vector<ShardFold> shard_folds(shards);
+  for (ShardFold& acc : shard_folds) acc.hist = out.slice_hist;
+  // Live path only: barrier observations (one row per slice tenant,
+  // overwritten every epoch) and the timeline's per-tenant SLO cursor over
+  // the append-only request logs.
+  std::vector<std::vector<int>> observed;
+  std::vector<std::size_t> slo_cursor;
+  std::vector<std::uint64_t> slo_violations;
+  if (live) {
+    observed.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      observed[i].resize(plan.setups[lo + i].stages);
+    }
+    slo_cursor.assign(n, 0);
+    slo_violations.assign(n, 0);
+  }
 
-  const auto shards = static_cast<std::size_t>(config.shards);
-  // A wave of n tenants splits into contiguous, near-equal engine blocks
-  // (wave tenant i -> block i*B/n), B a multiple of the shard count so
-  // block b runs on shard b % shards and the shards stay balanced.  The
-  // same engine-grouping contract makes the block layout invisible.
-  const auto blocks_for = [shards](std::size_t n) {
-    const std::size_t round = shards * kBlockTenants;
-    return shards * ((n + round - 1) / round);
-  };
-  // One request pool per block slot, reused by every wave (a pool serves
-  // exactly one engine at a time), so the pool costs the block's live
-  // set, not each tenant's peak.  Declared before the engines so it
-  // outlives every closure that points into it.  The first wave is the
-  // largest, so it sets the slot count.
-  std::vector<RequestPool> request_pools(
-      blocks_for(std::min(wave_n, hi - lo)));
   std::vector<EngineObs> engine_obs(shards);
-  ThreadPool pool(shards);
-  for (std::size_t wlo = lo; wlo < hi; wlo += wave_n) {
-    const std::size_t whi = std::min(hi, wlo + wave_n);
-    const std::size_t n = whi - wlo;
-    const std::size_t blocks = blocks_for(n);
-    // Wave tenant i runs in block i * blocks / n, so block b holds wave
-    // tenants [first(b), first(b + 1)).
-    const auto first = [n, blocks](std::size_t b) {
-      return (b * n + blocks - 1) / blocks;
-    };
-    if (prof != nullptr) prof->begin("plan");
-    // Fresh engines per wave: a drained engine's clock sits at its last
-    // event, and schedule_at clamps earlier times to now().
-    std::vector<std::unique_ptr<SimEngine>> engines;
-    engines.reserve(blocks);
-    for (std::size_t b = 0; b < blocks; ++b) {
-      engines.push_back(std::make_unique<SimEngine>());
-      // One occupancy gauge per shard, written only by the shard's thread.
-      if (config.obs.enabled()) engines[b]->set_obs(&engine_obs[b % shards]);
+  std::vector<Block> stores(live ? blocks : shards);
+  for (std::size_t k = 0; k < stores.size(); ++k) {
+    // One occupancy gauge per shard, written only by the shard's thread.
+    if (config.obs.enabled()) stores[k].engine.set_obs(&engine_obs[k % shards]);
+  }
+  const auto block_of = [&](std::size_t t) -> Block& {
+    const std::size_t b = (t - lo) * blocks / n;
+    return stores[live ? b : b % shards];
+  };
+
+  // What every tenant's RunConfig shares; each shard copies it once.
+  RunConfig base_rc;
+  base_rc.colocation_is_default = false;
+  // The fleet merge reads only the flat e2e/cpu/violated columns, so
+  // per-stage detail stays off — at six-figure tenant counts the detail
+  // columns would dominate peak RSS for nothing.
+  base_rc.record_stage_detail = false;
+  base_rc.trace_sample_every = config.obs.sample_every;
+
+  // Loads block b's tenants into `blk` and schedules their request streams
+  // on its engine.  The catalog is only read here (plan_fleet built every
+  // artifact), so shards set up concurrently.
+  const auto set_up = [&](Block& blk, std::size_t b, RunConfig& rc) {
+    blk.lo = first(b);
+    blk.hi = first(b + 1);
+    const std::size_t m = blk.hi - blk.lo;
+    if (blk.platforms.size() < m) {
+      blk.platforms.resize(m);
+      blk.policies.resize(m);
+      blk.results.resize(m);
+      blk.counters.resize(m);
+      blk.folded.resize(m);
     }
-    // Observability sinks.  Sized up front so the addresses handed to the
-    // hot-path hooks stay stable; each shard writes only its own tenants'
-    // sinks (and its own engine gauge), so recording needs no locks.  When
-    // obs is off no sink is armed and every hook stays a null-test branch.
-    std::vector<TraceRing> rings;
-    std::vector<ObsCounters> counters(n);
     if (config.obs.trace) {
-      rings.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        rings.emplace_back(config.obs.ring_capacity);
-      }
+      // Reserved first: serve_workload keeps a pointer to each ring.
+      blk.rings.clear();
+      blk.rings.reserve(m);
     }
-    // Platforms and policies sit in unique_ptrs so the fold can release a
-    // tenant's simulator state, not just its metrics.
-    std::vector<RunResult> results(n);
-    std::vector<std::unique_ptr<Platform>> platforms(n);
-    std::vector<std::unique_ptr<SizingPolicy>> policies(n);
-    for (std::size_t t = wlo; t < whi; ++t) {
-      const std::size_t i = t - wlo;
-      const std::size_t b = i * blocks / n;
-      TenantSetup& setup = plan.setups[t];
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t t = blk.lo + j;
+      const TenantSetup& setup = plan.setups[t];
       const TenantSpec& spec = config.tenants[t];
-      SimEngine& engine = *engines[b];
-      PlatformConfig pc = setup.run.platform;
-      pc.seed = setup.run.seed ^ 0x9e3779b97f4a7c15ULL;
-      platforms[i] = std::make_unique<Platform>(
-          engine, pc, setup.workload->chain_models(), setup.run.interference);
-      if (config.obs.enabled()) platforms[i]->set_obs(&counters[i]);
-      if (config.obs.trace) {
-        setup.run.trace_ring = &rings[i];
-        setup.run.trace_sample_every = config.obs.sample_every;
-        setup.run.trace_tenant = static_cast<std::uint32_t>(t);
+      rc.seed = tenant_seed(config.seed, t);
+      PlatformConfig pc = config.platform;
+      pc.seed = rc.seed ^ 0x9e3779b97f4a7c15ULL;
+      const std::vector<FunctionModel>& models =
+          setup.workload->chain_models();
+      std::unique_ptr<Platform>& platform = blk.platforms[j];
+      if (platform) {
+        platform->reset(pc, models, rc.interference);
+      } else {
+        platform = std::make_unique<Platform>(blk.engine, pc, models,
+                                              rc.interference);
       }
-      std::unique_ptr<SizingPolicy> policy =
-          plan.catalog->make_policy(spec.policy, *setup.workload,
-                                    setup.run.slo, spec.concurrency,
-                                    spec.size_mc);
+      blk.counters[j] = ObsCounters{};
+      if (config.obs.enabled()) platform->set_obs(&blk.counters[j]);
+      rc.slo = tenant_slo(spec, *setup.workload);
+      rc.concurrency = spec.concurrency;
+      rc.requests = spec.requests;
+      // Trace replay carries its own rhythm: the open-loop gate just needs
+      // a positive rate (the process ignores it), so use the trace's mean.
+      rc.open_loop_rate = spec.arrivals.kind == ArrivalKind::Trace
+                              ? spec.arrivals.mean_rate()
+                              : spec.arrivals.rate;
+      rc.arrivals = *setup.arrivals;
+      rc.colocation_provider = setup.feed;
+      if (config.obs.trace) {
+        blk.rings.emplace_back(config.obs.ring_capacity);
+        rc.trace_ring = &blk.rings.back();
+        rc.trace_tenant = static_cast<std::uint32_t>(t);
+      }
+      std::unique_ptr<SizingPolicy> policy = plan.catalog->make_policy(
+          spec.policy, *setup.workload, rc.slo, spec.concurrency,
+          spec.size_mc);
       if (spec.contention_alpha > 0.0) {
         policy = std::make_unique<ContentionAwarePolicy>(
-            std::move(policy), *plan.feeds[t], spec.contention_alpha,
+            std::move(policy), *setup.feed, spec.contention_alpha,
             plan.catalog->config().kmax);
       }
-      policies[i] = std::move(policy);
-      serve_workload(engine, request_pools[b], *platforms[i],
-                     *setup.workload, *policies[i], setup.run, results[i]);
+      blk.policies[j] = std::move(policy);
+      blk.results[j] = RunResult{};
+      blk.folded[j] = 0;
+      serve_workload(blk.engine, blk.pool, *platform, *setup.workload,
+                     *blk.policies[j], rc, blk.results[j]);
     }
+  };
 
-    // Per-tenant cursor over the (append-only) request records so the
-    // timeline's cumulative SLO attainment costs one pass over new records
-    // per barrier, not a rescan.
-    std::vector<std::size_t> slo_cursor(n, 0);
-    std::vector<std::uint64_t> slo_violations(n, 0);
-    std::vector<char> folded(n, 0);
-
-    // The per-tenant fold: one scan of the request log, the counter fold,
-    // the span drain, then the tenant's simulator footprint — request log
-    // arena, platform, policy — is released.  Streaming runs it as each
-    // tenant completes, the default path at slice end, where it also emits
-    // the tenant's row.  The aggregates are exact under any fold order
-    // (integer counts, integer-valued cpu sums), so the timing cannot show
-    // through.
-    const auto fold = [&](std::size_t i) {
-      const RequestLog& log = results[i].requests;
-      std::uint64_t viol = 0;
-      double cpu = 0.0;
-      for (const auto& req : log) {
-        viol += req.violated ? 1 : 0;
-        cpu += req.cpu_mc;
-        out.slice_hist.add(req.e2e);
-      }
-      out.requests_total += log.size();
-      out.violations_total += viol;
-      out.cpu_total += cpu;
+  // The per-tenant fold: one scan of the request log, the counter fold,
+  // the span drain; then the log and the policy are released.  Streaming
+  // live runs fold a tenant at the end of the epoch it completes in, every
+  // other run once its block has drained.
+  const auto fold = [&](Block& blk, std::size_t j, ShardFold& acc) {
+    const std::size_t t = blk.lo + j;
+    const std::size_t i = t - lo;
+    const RequestLog& log = blk.results[j].requests;
+    std::uint64_t viol = 0;
+    double cpu = 0.0;
+    for (const auto& req : log) {
+      viol += req.violated ? 1 : 0;
+      cpu += req.cpu_mc;
+      acc.hist.add(req.e2e);
+    }
+    acc.requests += log.size();
+    acc.violations += viol;
+    tenant_cpu[i] = cpu;
+    if (live) {
       slo_cursor[i] = log.size();
       slo_violations[i] = viol;
-      if (!stream) {
-        TenantFold row;
-        row.requests = log.size();
-        row.violations = viol;
-        row.cpu_sum = cpu;
-        row.coresidency = control.tenant_coresidency(wlo + i);
-        row.e2e = results[i].e2e_distribution();
-        row.e2e_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
-        for (double x : row.e2e.sorted_samples()) row.e2e_hist.add(x);
-        out.tenants.push_back(std::move(row));
-      }
-      // Platform tallies + hook tallies + ring bookkeeping, merged exactly
-      // like the metric distributions.
-      ObsCounters tc = counters[i];
-      tc.invocations = platforms[i]->invocations();
-      tc.cold_starts = platforms[i]->cold_starts();
-      if (config.obs.trace) {
-        tc.spans_recorded = rings[i].recorded();
-        tc.spans_dropped = rings[i].dropped();
-        rings[i].drain_to(out.spans);
-      }
-      out.counters.merge(tc);
-      if (chaos_eng != nullptr) {
-        chaos_eng->add_requeued(platforms[i]->requeued());
-      }
-      results[i].requests.release();
-      platforms[i].reset();
-      policies[i].reset();
-      folded[i] = 1;
-    };
-
-    // Barrier observation buffers, sized once and overwritten every epoch.
-    std::vector<std::vector<int>> observed(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      observed[i].resize(plan.setups[wlo + i].stages);
     }
-    std::vector<std::vector<int>> full;
+    if (!stream) {
+      // The row's co-residency is read at slice end, off the shard
+      // threads (the cluster's co-residency query uses shared scratch).
+      TenantFold& row = out.tenants[i];
+      row.requests = log.size();
+      row.violations = viol;
+      row.cpu_sum = cpu;
+      row.e2e = blk.results[j].e2e_distribution();
+      row.e2e_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
+      for (double x : row.e2e.sorted_samples()) row.e2e_hist.add(x);
+    }
+    // Platform tallies + hook tallies + ring bookkeeping.
+    const Platform& platform = *blk.platforms[j];
+    ObsCounters tc = blk.counters[j];
+    tc.invocations = platform.invocations();
+    tc.cold_starts = platform.cold_starts();
+    if (config.obs.trace) {
+      tc.spans_recorded = blk.rings[j].recorded();
+      tc.spans_dropped = blk.rings[j].dropped();
+      blk.rings[j].drain_to(block_spans[(t - lo) * blocks / n]);
+    }
+    acc.counters.merge(tc);
+    acc.requeued += platform.requeued();
+    blk.results[j].requests.release();
+    blk.policies[j].reset();
+    blk.folded[j] = 1;
+  };
+  const auto fold_rest = [&](Block& blk, ShardFold& acc) {
+    for (std::size_t j = 0; j < blk.hi - blk.lo; ++j) {
+      if (blk.folded[j] == 0) fold(blk, j, acc);
+    }
+    acc.events += blk.engine.executed();
+    // Makespan: per-tenant event times are grouping-independent, so the
+    // max over engines is the same number at any shard or block layout.
+    acc.sim_end = std::max(acc.sim_end, blk.engine.last_event_s());
+  };
 
-    Seconds epoch_end = control.live() ? control.epoch_s() : kNoEpochs;
+  // The static path runs each block to drain on its shard's one reused
+  // Block, so live simulator state is shards x one block; the live path
+  // only sets its blocks up here (inside the caller's plan phase).
+  ThreadPool threads(shards);
+  if (prof != nullptr && !live) prof->begin("simulate");
+  threads.parallel_for(shards, [&](std::size_t s) {
+    RunConfig rc = base_rc;
+    for (std::size_t b = s; b < blocks; b += shards) {
+      Block& blk = stores[live ? b : s];
+      set_up(blk, b, rc);
+      if (live) continue;
+      blk.engine.run_until(kNoEpochs);
+      fold_rest(blk, shard_folds[s]);
+      blk.engine.restart();
+    }
+  });
+  if (live) {
+    std::vector<std::vector<int>> full;
+    Seconds epoch_end = control.epoch_s();
     for (;;) {
-      // Advance every block to the barrier (run_until(inf) = run to
-      // drain — the static path does exactly one pass), each shard its
-      // blocks in turn.  On the live path each block then publishes the
-      // per-(tenant, stage) pod demand its Platforms actually observed
-      // this epoch, while the block is still hot.  A tenant already
-      // folded away publishes zeros — exactly what its idle platform
-      // would have reported.
+      // Advance every block to the barrier, each shard its blocks in turn,
+      // then publish the per-(tenant, stage) pod demand its Platforms
+      // observed this epoch while the block is still hot.  A tenant
+      // already folded away publishes zeros — exactly what its idle
+      // platform would have reported.
       if (prof != nullptr) prof->begin("simulate");
-      pool.parallel_for(shards, [&](std::size_t s) {
+      threads.parallel_for(shards, [&](std::size_t s) {
         for (std::size_t b = s; b < blocks; b += shards) {
-          engines[b]->run_until(epoch_end);
-          if (!control.live()) continue;
-          for (std::size_t i = first(b); i < first(b + 1); ++i) {
-            if (platforms[i]) {
-              platforms[i]->take_peak_busy(observed[i]);
+          Block& blk = stores[b];
+          blk.engine.run_until(epoch_end);
+          for (std::size_t j = 0; j < blk.hi - blk.lo; ++j) {
+            std::vector<int>& row = observed[blk.lo + j - lo];
+            if (blk.folded[j] == 0) {
+              blk.platforms[j]->take_peak_busy(row);
             } else {
-              std::fill(observed[i].begin(), observed[i].end(), 0);
+              std::fill(row.begin(), row.end(), 0);
+            }
+          }
+          if (!stream) continue;
+          // Fold (and free) every tenant that finished its stream.
+          for (std::size_t j = 0; j < blk.hi - blk.lo; ++j) {
+            if (blk.folded[j] == 0 &&
+                blk.results[j].requests.size() ==
+                    static_cast<std::size_t>(
+                        config.tenants[blk.lo + j].requests)) {
+              fold(blk, j, shard_folds[s]);
+              blk.platforms[j].reset();
             }
           }
         }
       });
-      if (prof != nullptr) prof->end();
       bool pending = false;
-      for (const auto& engine : engines) {
-        pending = pending || engine->pending() > 0;
+      for (const Block& blk : stores) {
+        pending = pending || blk.engine.pending() > 0;
       }
       if (!link.exchange(pending, observed, full)) break;
       if (prof != nullptr) prof->begin("reconcile");
       // Chaos injection happens here — all shards paused, observations
       // already collected — so every injection is a pure function of the
       // (deterministic) barrier state and the chaos schedule.  Chaos
-      // implies a single slice spanning the fleet (validated up front).
+      // implies one unstreamed slice spanning the fleet (validated up
+      // front), so every platform is still alive.
       EpochChaos epoch_chaos;
       if (chaos_eng != nullptr) {
         const int epoch_idx = control.epochs_run();
@@ -537,15 +619,15 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
                                     rm.stranded);
         }
         for (std::size_t t : barrier.preempt_tenants) {
+          Block& blk = block_of(t);
+          Platform& platform = *blk.platforms[t - blk.lo];
           int killed = 0;
           for (std::size_t s = 0; s < plan.setups[t].stages; ++s) {
-            const int busy =
-                platforms[t - wlo]->busy_pods_for(static_cast<int>(s));
+            const int busy = platform.busy_pods_for(static_cast<int>(s));
             const int want = static_cast<int>(
                 std::ceil(config.chaos.preempt_fraction *
                           static_cast<double>(busy)));
-            killed +=
-                platforms[t - wlo]->preempt_busy(static_cast<int>(s), want);
+            killed += platform.preempt_busy(static_cast<int>(s), want);
           }
           if (killed > 0) {
             chaos_eng->record_preemption(epoch_idx, epoch_end,
@@ -557,9 +639,11 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
         if (config.chaos.cold_storms) {
           // x1.0 when calm — IEEE-exact, so arming storms without a storm
           // this epoch perturbs nothing.
-          for (auto& platform : platforms) {
-            if (platform) platform->set_startup_multiplier(
-                barrier.storm_multiplier);
+          for (Block& blk : stores) {
+            for (std::size_t j = 0; j < blk.hi - blk.lo; ++j) {
+              blk.platforms[j]->set_startup_multiplier(
+                  barrier.storm_multiplier);
+            }
           }
           if (barrier.storm_started) {
             chaos_eng->record_storm(
@@ -577,12 +661,11 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
         const EpochSnapshot& snap = control.history().back();
         const ClusterCapacity& cl = control.cluster();
         for (std::size_t i = 0; i < n; ++i) {
-          const std::size_t t = wlo + i;
-          for (; slo_cursor[i] < results[i].requests.size();
-               ++slo_cursor[i]) {
-            if (results[i].requests[slo_cursor[i]].violated) {
-              ++slo_violations[i];
-            }
+          const std::size_t t = lo + i;
+          const Block& blk = block_of(t);
+          const RequestLog& log = blk.results[t - blk.lo].requests;
+          for (; slo_cursor[i] < log.size(); ++slo_cursor[i]) {
+            if (log[slo_cursor[i]].violated) ++slo_violations[i];
           }
           for (std::size_t s = 0; s < observed[i].size(); ++s) {
             const int group = control.tenant_group(t, s);
@@ -612,39 +695,40 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
           }
         }
       }
-      if (stream) {
-        // Fold (and free) every tenant that finished its stream this
-        // epoch — after the timeline read, which still wanted the log.
-        for (std::size_t i = 0; i < n; ++i) {
-          if (folded[i] == 0 &&
-              results[i].requests.size() ==
-                  static_cast<std::size_t>(config.tenants[wlo + i].requests)) {
-            fold(i);
-          }
-        }
-      }
-      if (prof != nullptr) prof->end();
       epoch_end += control.epoch_s();
     }
+    // Still inside the last simulate entry: every engine has drained.
+    threads.parallel_for(shards, [&](std::size_t s) {
+      for (std::size_t b = s; b < blocks; b += shards) {
+        fold_rest(stores[b], shard_folds[s]);
+      }
+    });
+  }
 
-    // Fold the rest in tenant order (a fixed fold order => reproducible
-    // bits; when streaming, only tenants finishing in the last partial
-    // epoch are left).
+  std::uint64_t requeued = 0;
+  for (const ShardFold& acc : shard_folds) {
+    out.slice_hist.merge(acc.hist);
+    out.counters.merge(acc.counters);
+    out.requests_total += acc.requests;
+    out.violations_total += acc.violations;
+    out.events_executed += acc.events;
+    out.sim_end_s = std::max(out.sim_end_s, acc.sim_end);
+    requeued += acc.requeued;
+  }
+  for (double cpu : tenant_cpu) out.cpu_total += cpu;
+  if (!stream) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (folded[i] == 0) fold(i);
+      out.tenants[i].coresidency = control.tenant_coresidency(lo + i);
     }
-    for (const auto& engine : engines) {
-      out.events_executed += engine->executed();
-      // Makespan: per-tenant event times are grouping-independent, so the
-      // max over engines is the same number at any shard, block or wave
-      // layout.
-      out.sim_end_s = std::max(out.sim_end_s, engine->last_event_s());
-    }
+  }
+  for (const std::vector<SpanRecord>& spans : block_spans) {
+    out.spans.insert(out.spans.end(), spans.begin(), spans.end());
   }
   for (const EngineObs& gauge : engine_obs) {
     out.peak_pending = std::max(out.peak_pending, gauge.peak_pending);
   }
   if (chaos_eng != nullptr) {
+    chaos_eng->add_requeued(requeued);
     // The cluster's counter is authoritative: it also covers stranding
     // during post-failure regrowth at reconcile, not just eviction time.
     chaos_eng->set_stranded_total(control.cluster().stranded_pods());
@@ -701,7 +785,7 @@ std::vector<FleetSliceOutcome> run_forked_slices(const FleetConfig& config,
       }
       int exit_code = 0;
       try {
-        PipeLink link(cmd[0], data[1], plan.control->live(), &stages);
+        PipeLink link(cmd[0], data[1], stages);
         const FleetSliceOutcome slice =
             execute_slice(config, plan, lo, hi, link, nullptr);
         const std::vector<std::uint8_t> blob = encode_slice(slice);
@@ -721,22 +805,25 @@ std::vector<FleetSliceOutcome> run_forked_slices(const FleetConfig& config,
   }
 
   // Barrier coordination (live control plane only; the static path has no
-  // barriers — workers run to drain and ship their blob).
+  // barriers — workers run to drain and ship their blob).  The matrix and
+  // both byte buffers are built once and reused at every barrier.
   if (plan.control->live()) {
+    std::vector<std::vector<int>> full(n);
+    for (std::size_t t = 0; t < n; ++t) {
+      full[t].resize(static_cast<std::size_t>(stages[t]));
+    }
+    std::vector<std::uint8_t> buf;
+    codec::ByteWriter cmd;
     for (;;) {
       bool any_pending = false;
-      std::vector<std::vector<int>> full(n);
       for (const WorkerProc& w : workers) {
         std::size_t ints = 0;
-        for (std::size_t t = w.lo; t < w.hi; ++t) {
-          ints += static_cast<std::size_t>(stages[t]);
-        }
-        std::vector<std::uint8_t> buf(1 + ints * 4);
+        for (std::size_t t = w.lo; t < w.hi; ++t) ints += full[t].size();
+        buf.resize(1 + ints * 4);
         read_all(w.data_fd, buf.data(), buf.size());
         codec::ByteReader r(buf.data(), buf.size());
         any_pending = (r.u8() != 0) || any_pending;
         for (std::size_t t = w.lo; t < w.hi; ++t) {
-          full[t].resize(static_cast<std::size_t>(stages[t]));
           for (int& v : full[t]) v = r.i32();
         }
       }
@@ -745,13 +832,13 @@ std::vector<FleetSliceOutcome> run_forked_slices(const FleetConfig& config,
         for (const WorkerProc& w : workers) write_all(w.cmd_fd, &stop, 1);
         break;
       }
-      codec::ByteWriter w;
-      w.u8('C');
+      cmd.clear();
+      cmd.u8('C');
       for (const auto& row : full) {
-        for (int v : row) w.i32(v);
+        for (int v : row) cmd.i32(v);
       }
       for (const WorkerProc& worker : workers) {
-        write_all(worker.cmd_fd, w.bytes().data(), w.bytes().size());
+        write_all(worker.cmd_fd, cmd.bytes().data(), cmd.bytes().size());
       }
     }
   }
@@ -900,12 +987,14 @@ FleetResult merge_fleet_slices(const FleetConfig& config,
   std::size_t total = 0;
   if (!stream) out.tenants.reserve(n);
   for (FleetSliceOutcome& slice : slices) {
-    if (stream) {
-      out.fleet_hist.merge(slice.slice_hist);
-      total += static_cast<std::size_t>(slice.requests_total);
-      violations += static_cast<std::size_t>(slice.violations_total);
-      cpu_total += slice.cpu_total;
-    } else {
+    // The slice aggregates fold every request in both modes (the cpu sum
+    // in tenant order, every addend integer-valued), so they are the fleet
+    // totals with or without per-tenant rows.
+    out.fleet_hist.merge(slice.slice_hist);
+    total += static_cast<std::size_t>(slice.requests_total);
+    violations += static_cast<std::size_t>(slice.violations_total);
+    cpu_total += slice.cpu_total;
+    if (!stream) {
       for (std::size_t j = 0; j < slice.tenants.size(); ++j) {
         const std::size_t t = slice.lo + j;
         TenantFold& fold = slice.tenants[j];
@@ -932,10 +1021,6 @@ FleetResult merge_fleet_slices(const FleetConfig& config,
         tr.e2e_p50 = tr.e2e.percentile(50.0);
         tr.e2e_p99 = tr.e2e.percentile(99.0);
         tr.e2e_hist = std::move(fold.e2e_hist);
-        out.fleet_hist.merge(tr.e2e_hist);
-        cpu_total += fold.cpu_sum;
-        violations += static_cast<std::size_t>(fold.violations);
-        total += static_cast<std::size_t>(fold.requests);
         out.tenants.push_back(std::move(tr));
       }
     }
@@ -984,6 +1069,14 @@ FleetResult merge_fleet_slices(const FleetConfig& config,
 }
 
 FleetResult run_fleet(const FleetConfig& config) {
+  // Self-profiling is always on: it is pure cold-path wall-clock
+  // bookkeeping (a handful of steady_clock reads per epoch), reported in
+  // the machine-dependent section alongside wall_seconds.  The phases run
+  // back to back from the first statement to the last, so they partition
+  // wall_seconds.
+  const auto started = std::chrono::steady_clock::now();
+  PhaseProfiler prof;
+  prof.begin("plan");
   validate_fleet(config);
   const std::size_t n = config.tenants.size();
   log_info("fleet: ", n, " tenants on ", config.shards, " shards, ",
@@ -992,35 +1085,30 @@ FleetResult run_fleet(const FleetConfig& config) {
            config.stream_metrics ? ", streaming merge" : "",
            config.chaos.enabled() ? ", chaos on" : "");
 
-  // Self-profiling is always on: it is pure cold-path wall-clock
-  // bookkeeping (a handful of steady_clock reads per epoch), reported in
-  // the machine-dependent section alongside wall_seconds.
-  PhaseProfiler prof;
-  prof.begin("plan");
-  FleetPlan plan = plan_fleet(config);
-
-  const auto started = std::chrono::steady_clock::now();
-  std::vector<FleetSliceOutcome> slices;
-  if (config.processes <= 1) {
-    LocalLink link(*plan.control);
-    slices.push_back(execute_slice(config, plan, 0, n, link, &prof));
-  } else {
-    prof.begin("coordinate");
-    slices = run_forked_slices(config, plan);
-  }
-  const auto finished = std::chrono::steady_clock::now();
-
-  prof.begin("merge");
-  FleetResult out = merge_fleet_slices(config, std::move(slices));
-  out.wall_seconds =
-      std::chrono::duration<double>(finished - started).count();
-  if (plan.chaos_eng) {
-    out.chaos_enabled = true;
-    out.chaos = plan.chaos_eng->stats();
-    out.chaos_log = plan.chaos_eng->log();
-  }
+  FleetResult out;
+  {
+    FleetPlan plan = plan_fleet(config);
+    std::vector<FleetSliceOutcome> slices;
+    if (config.processes <= 1) {
+      LocalLink link;
+      slices.push_back(execute_slice(config, plan, 0, n, link, &prof));
+    } else {
+      prof.begin("coordinate");
+      slices = run_forked_slices(config, plan);
+    }
+    prof.begin("merge");
+    out = merge_fleet_slices(config, std::move(slices));
+    if (plan.chaos_eng) {
+      out.chaos_enabled = true;
+      out.chaos = plan.chaos_eng->stats();
+      out.chaos_log = plan.chaos_eng->log();
+    }
+  }  // the plan is released inside the merge phase
   prof.end();
   out.obs.phases = prof.phases();
+  out.wall_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - started)
+                         .count();
   return out;
 }
 

@@ -2,12 +2,13 @@
 //
 // Runs N tenant workloads concurrently: tenants are cut into contiguous
 // blocks of about 64, each block owns one deterministic SimEngine, and the
-// blocks are dealt round-robin across S shards, each shard running its
-// blocks in turn on the shared ThreadPool (so only one block's state is
-// cache-hot at a time).  Every tenant's randomness derives from the fleet
-// seed and its tenant index alone, and no tenant's results depend on which
-// engine it shares — so fleet results are bit-identical regardless of the
-// shard count.
+// blocks are dealt round-robin across S shards.  A block is the unit of
+// per-tenant work: each shard thread sets up, runs, folds and releases its
+// blocks in turn (so only one block's state is cache-hot at a time, and on
+// the barrier-free path only one block per shard is alive).  Every
+// tenant's randomness derives from the fleet seed and its tenant index
+// alone, and no tenant's results depend on which engine it shares — so
+// fleet results are bit-identical regardless of the shard count.
 //
 // Each tenant sizes its stages with a pluggable policy (fleet/policies):
 // the default "fixed" allocation, or any of the paper's §V systems —
@@ -84,8 +85,9 @@ struct FleetConfig {
   /// mutates platforms across the whole fleet at a barrier).
   int processes = 1;
   /// Streaming merge: fold each tenant's metrics into the slice
-  /// accumulator the moment it completes and release its request log,
-  /// platform, and policy — memory stays O(active tenants) instead of
+  /// accumulator once it completes (at the barrier it completes by, or
+  /// when its engine block drains) and release its request log, platform,
+  /// and policy — memory stays O(active tenants) instead of
   /// O(total requests).  The cost is per-tenant reporting: no TenantResult
   /// rows, fleet_e2e stays empty, and fleet p50/p99 come from the merged
   /// histogram (Histogram::percentile) rather than exact order statistics.
@@ -163,8 +165,10 @@ struct FleetObs {
   /// shard-independent).
   std::uint64_t events_executed = 0;
   // ---- Machine-dependent (reporting only, never compared bit-for-bit).
-  /// Wall-clock breakdown of run_fleet: plan / simulate / reconcile /
-  /// merge, in first-entry order.
+  /// Wall-clock breakdown of run_fleet, in first-entry order: plan /
+  /// simulate / reconcile / merge in one process, plan / coordinate /
+  /// merge when forked.  The phases run back to back, so their seconds
+  /// add up to wall_seconds.
   std::vector<PhaseProfiler::Phase> phases;
   /// Max calendar occupancy of any one block engine (0 when obs is off);
   /// measured per block, so it tracks the block size, not the shard's
@@ -209,8 +213,8 @@ struct FleetResult {
   /// Every injected event in injection order (flash windows first — they
   /// are scheduled at plan time — then barrier events by epoch).
   std::vector<ChaosEvent> chaos_log;
-  /// Wall-clock of the shard execution (not part of the deterministic
-  /// metric set — machine-dependent, like obs.phases).
+  /// Wall-clock of the whole run_fleet call, which obs.phases partitions
+  /// (not part of the deterministic metric set — machine-dependent).
   double wall_seconds = 0.0;
   /// Observability record (always carries phases + events_executed; spans
   /// and timeline fill in when the matching FleetConfig::obs pillar is on).

@@ -262,7 +262,7 @@ const std::vector<Millicores>& PolicyCatalog::plan_sizes(
       std::make_tuple(name, workload.name, slo, conc, fixed ? fixed_mc : 0);
   auto it = plans_.find(key);
   if (it != plans_.end()) return it->second;
-  const auto models = workload.chain_models();
+  const auto& models = workload.chain_models();
   const std::size_t stages = models.size();
   std::vector<Millicores> sizes;
   if (fixed) {

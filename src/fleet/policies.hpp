@@ -32,10 +32,11 @@
 // every tenant its own instance keeps the hot path lock-free while the
 // tables behind it stay shared.
 //
-// The catalog itself is not thread-safe.  run_fleet writes it only on the
-// plan thread and in execute_slice's serial tenant loop; shard threads
-// only read what it handed out, and forked workers inherit it warm,
-// copy-on-write.
+// The catalog itself is not thread-safe.  run_fleet writes it only in
+// plan_fleet, whose plan_sizes() call for every tenant builds every
+// artifact make_policy() reads; the shard threads' make_policy() calls at
+// block set-up are then lookups only, and forked workers inherit the
+// catalog warm, copy-on-write.
 #pragma once
 
 #include <map>

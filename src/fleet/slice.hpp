@@ -63,7 +63,7 @@ struct FleetSliceOutcome {
   /// Simulated time of the slice's last executed event — the makespan the
   /// frontier's achieved-rps accounting divides by.  Each tenant's event
   /// times are independent of engine grouping, so the fleet-wide max is
-  /// bit-identical at any shard/process/wave layout (unlike peak_pending).
+  /// bit-identical at any shard/process/block layout (unlike peak_pending).
   Seconds sim_end_s = 0.0;
 
   ObsCounters counters;

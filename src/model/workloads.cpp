@@ -12,10 +12,21 @@ const FunctionModel& WorkloadSpec::model_of(FunctionId id) const {
   return models[static_cast<std::size_t>(spec.model_index)];
 }
 
-std::vector<FunctionModel> WorkloadSpec::chain_models() const {
-  std::vector<FunctionModel> out;
-  for (FunctionId id : workflow.chain_order()) out.push_back(model_of(id));
-  return out;
+const std::vector<FunctionModel>& WorkloadSpec::chain_models() const {
+  // Checked without allocating: fleets call this for every tenant.
+  const std::size_t n = workflow.size();
+  bool ordered = n > 0 && models.size() == n;
+  for (std::size_t i = 0; ordered && i < n; ++i) {
+    const auto id = static_cast<FunctionId>(i);
+    const std::vector<FunctionId>& next = workflow.successors(id);
+    ordered = workflow.function(id).model_index == id &&
+              (i + 1 == n ? next.empty()
+                          : next.size() == 1 && next.front() == id + 1);
+  }
+  require(ordered,
+          "workload is not a chain whose models are listed in execution "
+          "order");
+  return models;
 }
 
 Seconds WorkloadSpec::slo(Concurrency c) const {

@@ -33,8 +33,10 @@ struct WorkloadSpec {
   Concurrency max_concurrency = 1;
 
   const FunctionModel& model_of(FunctionId id) const;
-  /// Models in chain order (throws if the workflow is not a chain).
-  std::vector<FunctionModel> chain_models() const;
+  /// Models in chain order: `models` itself, borrowed rather than copied.
+  /// Throws unless the workflow is the chain 0 -> 1 -> ... -> n-1 and
+  /// function i uses models[i] (how every chain workload is listed).
+  const std::vector<FunctionModel>& chain_models() const;
   Seconds slo(Concurrency c) const;
 };
 

@@ -109,6 +109,19 @@ JANUS_HOT bool SimEngine::prepare_next() {
   }
 }
 
+void SimEngine::restart() {
+  require(size_ == 0, "only a drained engine can restart");
+  current_.clear();
+  current_end_ = -kInf;
+  ladder_end_ = -kInf;
+  active_rungs_ = 0;
+  next_rung_ = 0;
+  now_ = 0.0;
+  last_event_ = 0.0;
+  next_seq_ = 0;
+  executed_ = 0;
+}
+
 JANUS_HOT void SimEngine::run() {
   while (step()) {
   }

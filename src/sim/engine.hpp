@@ -163,6 +163,13 @@ class SimEngine {
   std::size_t pending() const noexcept { return size_; }
   std::uint64_t executed() const noexcept { return executed_; }
 
+  /// Returns a drained engine (pending() == 0) to the state a fresh one
+  /// starts in — clock, sequence and executed count at zero — keeping its
+  /// calendar and closure-slot storage, so a fleet shard runs one engine
+  /// block after another on it without reallocating.  Throws if events
+  /// are still pending.
+  void restart();
+
   /// Arms the calendar-occupancy gauge (self-profiling pillar); null (the
   /// default) keeps the hook a single never-taken branch in schedule_at.
   /// The sink must outlive the engine's run and is written only from the

@@ -5,24 +5,43 @@
 namespace janus {
 
 Platform::Platform(SimEngine& engine, PlatformConfig config,
-                   std::vector<FunctionModel> functions,
+                   const std::vector<FunctionModel>& functions,
                    InterferenceModel interference)
-    : engine_(engine),
-      config_(config),
-      functions_(std::move(functions)),
-      interference_(interference),
-      rng_(config.seed) {
-  require(config_.nodes > 0, "platform needs >= 1 node");
-  require(!functions_.empty(), "platform needs >= 1 function");
-  nodes_.resize(static_cast<std::size_t>(config_.nodes),
+    : engine_(engine) {
+  reset(config, functions, interference);
+}
+
+void Platform::reset(PlatformConfig config,
+                     const std::vector<FunctionModel>& functions,
+                     InterferenceModel interference) {
+  require(config.nodes > 0, "platform needs >= 1 node");
+  require(!functions.empty(), "platform needs >= 1 function");
+  config_ = config;
+  functions_ = &functions;
+  interference_ = interference;
+  rng_ = Rng(config.seed);
+  // Every container is refilled in place (assign/clear keep capacity), so
+  // a platform reused for another tenant allocates nothing new.
+  const std::size_t fns = functions.size();
+  nodes_.assign(static_cast<std::size_t>(config_.nodes),
                 Node{config_.node.capacity_mc, 0});
-  pods_per_function_.assign(functions_.size(), 0);
-  idle_.resize(functions_.size() + 1);
-  pending_.resize(functions_.size());
-  busy_per_cell_.assign(nodes_.size() * functions_.size(), 0);
-  pods_per_cell_.assign(nodes_.size() * functions_.size(), 0);
-  busy_per_function_.assign(functions_.size(), 0);
-  peak_busy_per_function_.assign(functions_.size(), 0);
+  pods_.clear();
+  pods_per_function_.assign(fns, 0);
+  idle_.resize(fns + 1);
+  for (auto& list : idle_) list.clear();
+  pending_.resize(fns);
+  for (auto& queue : pending_) queue.clear();
+  busy_per_cell_.assign(nodes_.size() * fns, 0);
+  pods_per_cell_.assign(nodes_.size() * fns, 0);
+  busy_per_function_.assign(fns, 0);
+  peak_busy_per_function_.assign(fns, 0);
+  cold_starts_ = 0;
+  invocations_ = 0;
+  preempted_pods_ = 0;
+  requeued_ = 0;
+  queued_total_ = 0;
+  startup_mult_ = 1.0;
+  obs_ = nullptr;
 
   // Pre-warm the generic pool, spread round-robin across nodes (Fission's
   // PoolManager keeps a pool of generic pods that get specialized on first
@@ -30,12 +49,12 @@ Platform::Platform(SimEngine& engine, PlatformConfig config,
   // Each container is allocated once at its steady size: pods_ and the
   // generic list hold the whole pool, and each function's warm list its
   // pre-warm share (what completions push back without scale-out).
-  const int generic = config_.pool.prewarm_per_function *
-                      static_cast<int>(functions_.size());
+  const int generic =
+      config_.pool.prewarm_per_function * static_cast<int>(fns);
   const auto share =
       static_cast<std::size_t>(std::max(config_.pool.prewarm_per_function, 0));
-  pods_.reserve(share * functions_.size());
-  idle_[0].reserve(share * functions_.size());
+  pods_.reserve(share * fns);
+  idle_[0].reserve(share * fns);
   for (std::size_t fn = 1; fn < idle_.size(); ++fn) idle_[fn].reserve(share);
   for (int i = 0; i < generic; ++i) {
     Pod pod;
@@ -47,9 +66,9 @@ Platform::Platform(SimEngine& engine, PlatformConfig config,
 
 const FunctionModel& Platform::function(int fn_index) const {
   require(fn_index >= 0 &&
-              static_cast<std::size_t>(fn_index) < functions_.size(),
+              static_cast<std::size_t>(fn_index) < functions_->size(),
           "function index out of range");
-  return functions_[static_cast<std::size_t>(fn_index)];
+  return (*functions_)[static_cast<std::size_t>(fn_index)];
 }
 
 JANUS_HOT int Platform::place(int fn_index, Millicores size) {
@@ -366,7 +385,7 @@ int Platform::peak_busy_for(int fn_index) const {
 }
 
 void Platform::take_peak_busy(std::vector<int>& peaks) {
-  require(peaks.size() == functions_.size(),
+  require(peaks.size() == functions_->size(),
           "peak buffer needs one entry per function");
   std::copy(peak_busy_per_function_.begin(), peak_busy_per_function_.end(),
             peaks.begin());

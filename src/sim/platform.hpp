@@ -92,12 +92,27 @@ using InvokeFn =
 
 class Platform {
  public:
+  /// `functions` is borrowed, not copied: it must outlive the platform
+  /// (workload specs are immutable catalog entries), so temporaries are
+  /// rejected at compile time.
   Platform(SimEngine& engine, PlatformConfig config,
-           std::vector<FunctionModel> functions,
+           const std::vector<FunctionModel>& functions,
            InterferenceModel interference = InterferenceModel{});
+  Platform(SimEngine&, PlatformConfig, std::vector<FunctionModel>&&,
+           InterferenceModel = InterferenceModel{}) = delete;
+
+  /// Returns the platform to the state the constructor leaves, for another
+  /// tenant on the same engine, reusing every container's storage.  Only
+  /// valid once no event of the engine refers to this platform (its
+  /// invocations have all completed).
+  void reset(PlatformConfig config,
+             const std::vector<FunctionModel>& functions,
+             InterferenceModel interference = InterferenceModel{});
+  void reset(PlatformConfig, std::vector<FunctionModel>&&,
+             InterferenceModel = InterferenceModel{}) = delete;
 
   /// Number of registered functions.
-  std::size_t function_count() const noexcept { return functions_.size(); }
+  std::size_t function_count() const noexcept { return functions_->size(); }
   const FunctionModel& function(int fn_index) const;
 
   /// Invokes function `fn_index` with `size` millicores and batch size `c`.
@@ -260,13 +275,13 @@ class Platform {
 
   /// Flat (node, function) cell index for the incremental counters.
   JANUS_HOT std::size_t cell(int node, int fn) const noexcept {
-    return static_cast<std::size_t>(node) * functions_.size() +
+    return static_cast<std::size_t>(node) * functions_->size() +
            static_cast<std::size_t>(fn);
   }
 
   SimEngine& engine_;
   PlatformConfig config_;
-  std::vector<FunctionModel> functions_;
+  const std::vector<FunctionModel>* functions_ = nullptr;
   InterferenceModel interference_;
   Rng rng_;
   std::vector<Node> nodes_;

@@ -53,6 +53,9 @@ class ByteWriter {
 
   const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
+  /// Empties the buffer but keeps its capacity, for a writer reused per
+  /// message.
+  void clear() noexcept { buf_.clear(); }
 
  private:
   std::vector<std::uint8_t> buf_;

@@ -169,9 +169,12 @@ PlatformConfig small_platform() {
   return config;
 }
 
-std::vector<FunctionModel> two_models() {
-  return {make_micro_function(ResourceDim::Cpu),
-          make_micro_function(ResourceDim::Network)};
+/// Platforms borrow their models, so the list lives for the whole run.
+const std::vector<FunctionModel>& two_models() {
+  static const std::vector<FunctionModel> models{
+      make_micro_function(ResourceDim::Cpu),
+      make_micro_function(ResourceDim::Network)};
+  return models;
 }
 
 TEST(PlatformChaos, PreemptedInvocationRetriesAndRepaysExecution) {

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -21,8 +25,90 @@
 #include "sim/engine.hpp"
 #include "stats/codec.hpp"
 
+// ---- Allocation-counting hook -------------------------------------------
+// Replaces this binary's global operator new/delete with counting
+// forwarders, so StaticStreamedRunAllocationsPerTenantStayBounded can hold
+// the fleet's per-tenant lifecycle to an allocation budget.  Every form is
+// replaced (nothrow, aligned), so no block is allocated by one allocator
+// and freed by another (the standard library's stable_sort buffer uses
+// nothrow new, and AddressSanitizer checks the pairing).
+namespace {
+std::atomic<std::size_t> g_alloc_count{0};
+
+void* counted_alloc(std::size_t size, std::size_t align) noexcept {
+  void* p = nullptr;
+  if (align <= alignof(std::max_align_t)) {
+    p = std::malloc(size ? size : 1);
+  } else if (posix_memalign(&p, align, size ? size : 1) != 0) {
+    p = nullptr;
+  }
+  if (p != nullptr) g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return p;
+}
+
+void* counted_or_throw(std::size_t size, std::size_t align) {
+  if (void* p = counted_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+
+constexpr std::size_t kPlain = alignof(std::max_align_t);
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_or_throw(n, kPlain); }
+void* operator new[](std::size_t n) { return counted_or_throw(n, kPlain); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, kPlain);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, kPlain);
+}
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
 namespace janus {
 namespace {
+
+/// Upper bound for StaticStreamedRunAllocationsPerTenantStayBounded.
+/// The code makes 15.09 per tenant for this fleet (30174 allocations; the
+/// code that ran static streamed fleets in 4096-tenant waves made 83.6),
+/// so one more allocation per tenant crosses the bound.
+constexpr double kMaxAllocsPerTenant = 16.0;
 
 // ------------------------------------------------------------- arrivals --
 std::vector<Seconds> arrival_times(const ArrivalSpec& spec, int count,
@@ -1114,45 +1200,96 @@ TEST(Fleet, MergeRejectsInconsistentSlices) {
                        "control-plane summary");
 }
 
-TEST(Fleet, StreamedStaticWavesMatchTheUnwavedRun) {
-  // More tenants than one static streaming wave holds (4096), so the
-  // streamed run crosses a wave boundary while the default run is one
-  // pass.  Every merged quantity is exact under re-association, so the
-  // two must agree bit-for-bit.
+TEST(Fleet, StreamedStaticBlocksMatchTheDenseRunAtEveryShardCount) {
+  // 400 tenants make 7 engine blocks at 1 shard, 4 per shard at 2 and 3
+  // per shard at 3, so every shard folds and releases several blocks and
+  // reloads its block storage in between.  The dense single-shard run is
+  // the reference; every merged quantity is exact under re-association,
+  // so each streamed run must agree with it bit-for-bit.
   FleetConfig config;
-  config.tenants = make_tenant_mix(4100, 2, 8.0, ArrivalKind::Poisson,
+  config.tenants = make_tenant_mix(400, 2, 8.0, ArrivalKind::Poisson,
                                    /*mixed_kinds=*/true);
   config.shards = 1;
   const FleetResult dense = run_fleet(config);
   config.stream_metrics = true;
-  const FleetResult lean = run_fleet(config);
-  ASSERT_TRUE(lean.streamed);
-  EXPECT_EQ(lean.total_requests, dense.total_requests);
-  EXPECT_EQ(lean.fleet_violation_rate, dense.fleet_violation_rate);
-  EXPECT_EQ(lean.fleet_mean_cpu_mc, dense.fleet_mean_cpu_mc);
-  ASSERT_EQ(lean.fleet_hist.bins(), dense.fleet_hist.bins());
-  for (std::size_t i = 0; i < dense.fleet_hist.bins(); ++i) {
-    EXPECT_EQ(lean.fleet_hist.bin_count(i), dense.fleet_hist.bin_count(i));
-  }
-  EXPECT_EQ(lean.fleet_hist.underflow(), dense.fleet_hist.underflow());
-  EXPECT_EQ(lean.fleet_hist.overflow(), dense.fleet_hist.overflow());
-  EXPECT_EQ(lean.sim_end_s, dense.sim_end_s);
-  EXPECT_EQ(lean.obs.events_executed, dense.obs.events_executed);
-  EXPECT_EQ(lean.obs.counters.invocations, dense.obs.counters.invocations);
-  EXPECT_EQ(lean.obs.counters.cold_starts, dense.obs.counters.cold_starts);
-  EXPECT_EQ(lean.obs.counters.queued, dense.obs.counters.queued);
-  EXPECT_EQ(lean.obs.counters.spans_recorded,
-            dense.obs.counters.spans_recorded);
-  EXPECT_EQ(lean.obs.counters.spans_dropped, dense.obs.counters.spans_dropped);
-  // Each wave's engine run is attributed to simulate.
-  const auto simulate = [](const FleetResult& r) -> std::uint64_t {
-    for (const auto& phase : r.obs.phases) {
-      if (phase.name == "simulate") return phase.entries;
+  for (int shards : {1, 2, 3}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    config.shards = shards;
+    const FleetResult lean = run_fleet(config);
+    ASSERT_TRUE(lean.streamed);
+    EXPECT_EQ(lean.total_requests, dense.total_requests);
+    EXPECT_EQ(lean.fleet_violation_rate, dense.fleet_violation_rate);
+    EXPECT_EQ(lean.fleet_mean_cpu_mc, dense.fleet_mean_cpu_mc);
+    EXPECT_EQ(lean.cluster_utilization, dense.cluster_utilization);
+    EXPECT_EQ(lean.overcommitted_pods, dense.overcommitted_pods);
+    ASSERT_EQ(lean.fleet_hist.bins(), dense.fleet_hist.bins());
+    for (std::size_t i = 0; i < dense.fleet_hist.bins(); ++i) {
+      EXPECT_EQ(lean.fleet_hist.bin_count(i), dense.fleet_hist.bin_count(i));
     }
-    return 0;
-  };
-  EXPECT_EQ(simulate(dense), 1u);
-  EXPECT_EQ(simulate(lean), 2u);
+    EXPECT_EQ(lean.fleet_hist.underflow(), dense.fleet_hist.underflow());
+    EXPECT_EQ(lean.fleet_hist.overflow(), dense.fleet_hist.overflow());
+    EXPECT_EQ(lean.fleet_hist.total(), dense.fleet_hist.total());
+    EXPECT_EQ(lean.sim_end_s, dense.sim_end_s);
+    EXPECT_EQ(lean.obs.events_executed, dense.obs.events_executed);
+    EXPECT_EQ(lean.obs.counters.invocations, dense.obs.counters.invocations);
+    EXPECT_EQ(lean.obs.counters.cold_starts, dense.obs.counters.cold_starts);
+    EXPECT_EQ(lean.obs.counters.queued, dense.obs.counters.queued);
+    EXPECT_EQ(lean.obs.counters.spans_recorded,
+              dense.obs.counters.spans_recorded);
+    EXPECT_EQ(lean.obs.counters.spans_dropped,
+              dense.obs.counters.spans_dropped);
+  }
+}
+
+TEST(Fleet, StaticStreamedRunAllocationsPerTenantStayBounded) {
+  // Per-tenant work outside the request path — plan, block set-up, fold
+  // and release — must not copy what it can borrow or reuse: workload
+  // models, block storage, platforms (see kMaxAllocsPerTenant).
+  FleetConfig config;
+  config.tenants = make_tenant_mix(2000, 2, 10.0, ArrivalKind::Poisson,
+                                   /*mixed_kinds=*/false,
+                                   {"janus", "orion", "mean_based"});
+  config.stream_metrics = true;
+  config.cluster.nodes = 4;
+  config.cluster.node_capacity_mc = 2000000000;
+  PolicyCatalog catalog(tiny_catalog_config());
+  config.catalog = &catalog;
+  (void)run_fleet(config);  // warms the catalog
+  const std::size_t before = g_alloc_count.load();
+  const FleetResult result = run_fleet(config);
+  const std::size_t allocs = g_alloc_count.load() - before;
+  ASSERT_EQ(result.total_requests, 4000u);
+  const double per_tenant =
+      static_cast<double>(allocs) / static_cast<double>(config.tenants.size());
+  EXPECT_LE(per_tenant, kMaxAllocsPerTenant) << allocs << " allocations";
+}
+
+TEST(Fleet, PhasesPartitionTheWallTime) {
+  // Every phase runs back to back from run_fleet's first statement to its
+  // last, so the phase seconds add up to wall_seconds up to the few clock
+  // reads between them — on the static, live and forked paths alike.
+  FleetConfig config;
+  config.tenants = make_tenant_mix(300, 4, 8.0, ArrivalKind::Poisson,
+                                   /*mixed_kinds=*/true);
+  config.shards = 2;
+  config.policy_catalog = tiny_catalog_config();
+  for (const Seconds epoch_s : {kNoEpochs, 0.5}) {
+    for (int processes : {1, 2}) {
+      SCOPED_TRACE("epoch_s " + std::to_string(epoch_s) + ", processes " +
+                   std::to_string(processes));
+      config.epoch_s = epoch_s;
+      config.processes = processes;
+      const FleetResult r = run_fleet(config);
+      double total = 0.0;
+      for (const auto& phase : r.obs.phases) total += phase.seconds;
+      EXPECT_GT(r.wall_seconds, 0.0);
+      EXPECT_LE(total, r.wall_seconds);
+      EXPECT_NEAR(total, r.wall_seconds, 2e-3);
+      ASSERT_FALSE(r.obs.phases.empty());
+      EXPECT_EQ(r.obs.phases.front().name, "plan");
+      EXPECT_EQ(r.obs.phases.front().entries, 1u);
+    }
+  }
 }
 
 /// Expects two runs of one fleet config to agree on everything a run
@@ -1264,6 +1401,15 @@ TEST(Fleet, StreamingMergeKeepsScalarMetricsBitIdentical) {
     EXPECT_EQ(lean.final_nodes, dense.final_nodes);
     ASSERT_EQ(lean.epoch_log.size(), dense.epoch_log.size());
     ASSERT_EQ(lean.obs.timeline.size(), dense.obs.timeline.size());
+    // A tenant folded mid-run must still publish the demand it ran in its
+    // last epoch, so the control plane's inputs and outputs match exactly.
+    const auto image = [](const auto& rows) {
+      codec::ByteWriter w;
+      codec::encode(w, rows);
+      return w.take();
+    };
+    EXPECT_TRUE(image(lean.epoch_log) == image(dense.epoch_log));
+    EXPECT_TRUE(image(lean.obs.timeline) == image(dense.obs.timeline));
     // Histogram-interpolated percentiles sit inside the right bin.
     EXPECT_NEAR(lean.fleet_p50, dense.fleet_p50,
                 (config.hist_max_s / static_cast<double>(config.hist_bins)));
