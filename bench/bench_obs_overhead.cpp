@@ -9,14 +9,14 @@
 //               artifact job runs)
 //   full      — 1:1 spans + timeline (worst case)
 //
-// Wall times are best-of-3 run_fleet clocks.  The contract (ISSUE PR 7):
-// observability off/armed must stay within noise of baseline — the bench
-// hard-fails only above 10% armed overhead (CI machines are noisy; the
-// committed baseline documents the real figure, ~0%), and warns above the
-// 2% design budget.  Recording modes must not perturb a single metric:
-// fleet P50/P99/CPU are compared bit-exactly across all four modes, and
-// full-mode span accounting (recorded = retained + dropped, rings bounded
-// by capacity) is asserted.  Emitted via bench_main as
+// Wall times are best-of-3 run_fleet clocks, the modes interleaved.  The
+// contract: observability off/armed must stay within noise of baseline —
+// the bench hard-fails only above 10% armed overhead (CI machines are
+// noisy; the committed baseline documents the real figure, ~0%), and warns
+// above the 2% design budget.  Recording modes must not perturb a single
+// metric: fleet P50/P99/CPU are compared bit-exactly across all four
+// modes, and full-mode span accounting (recorded = retained + dropped,
+// rings bounded by capacity) is asserted.  Emitted via bench_main as
 // BENCH_obs_overhead.json.
 #include <algorithm>
 #include <cstdio>
@@ -57,16 +57,23 @@ struct Measured {
   double best_wall = 0.0;
 };
 
-Measured run_mode(const Mode& mode) {
-  Measured m;
-  m.best_wall = 1e300;
+/// Runs every mode kRepeats times, the modes interleaved within each
+/// repeat (off, armed, sampled64, full, then again), so drift in the
+/// host's speed over the run lands on every mode alike instead of on
+/// whichever mode ran last.  Keeps each mode's best wall.
+std::vector<Measured> run_modes(const std::vector<Mode>& modes) {
+  std::vector<Measured> measured(modes.size());
+  for (Measured& m : measured) m.best_wall = 1e300;
   for (int rep = 0; rep < kRepeats; ++rep) {
-    FleetConfig config = base_config();
-    config.obs = mode.obs;
-    m.result = run_fleet(config);
-    m.best_wall = std::min(m.best_wall, m.result.wall_seconds);
+    for (std::size_t i = 0; i < modes.size(); ++i) {
+      FleetConfig config = base_config();
+      config.obs = modes[i].obs;
+      measured[i].result = run_fleet(config);
+      measured[i].best_wall =
+          std::min(measured[i].best_wall, measured[i].result.wall_seconds);
+    }
   }
-  return m;
+  return measured;
 }
 
 bool metrics_identical(const FleetResult& a, const FleetResult& b) {
@@ -121,8 +128,7 @@ int main() {
     modes.push_back({"full", full});
   }
 
-  std::vector<Measured> measured;
-  for (const Mode& mode : modes) measured.push_back(run_mode(mode));
+  const std::vector<Measured> measured = run_modes(modes);
   const double wall_off = measured[0].best_wall;
 
   bool perturbed = false;

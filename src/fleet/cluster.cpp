@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/log.hpp"
 
@@ -11,6 +12,59 @@ ClusterCapacity::ClusterCapacity(ClusterConfig config) : config_(config) {
   require(config.nodes > 0, "cluster needs >= 1 node");
   require(config.node_capacity_mc > 0, "node capacity must be > 0");
   used_.assign(static_cast<std::size_t>(config.nodes), 0);
+  reindex_nodes();
+}
+
+std::uint64_t ClusterCapacity::node_key(int node) const noexcept {
+  // used_ is never negative: pods only add their size and give it back.
+  return static_cast<std::uint64_t>(used_[static_cast<std::size_t>(node)])
+             << 32 |
+         static_cast<std::uint32_t>(node);
+}
+
+void ClusterCapacity::reindex_nodes() {
+  const std::size_t n = used_.size();
+  leaves_ = 1;
+  while (leaves_ < n) leaves_ *= 2;
+  least_.assign(2 * leaves_, std::numeric_limits<std::uint64_t>::max());
+  for (std::size_t i = 0; i < n; ++i) {
+    least_[leaves_ + i] = node_key(static_cast<int>(i));
+  }
+  for (std::size_t k = leaves_ - 1; k >= 1; --k) {
+    least_[k] = std::min(least_[2 * k], least_[2 * k + 1]);
+  }
+  // Still all zero: resizing keeps the zeros and zero-fills new nodes.
+  per_node_.resize(n, 0);
+}
+
+void ClusterCapacity::update_node(int node) {
+  std::size_t k = leaves_ + static_cast<std::size_t>(node);
+  least_[k] = node_key(node);
+  for (k /= 2; k >= 1; k /= 2) {
+    const std::uint64_t key = std::min(least_[2 * k], least_[2 * k + 1]);
+    if (least_[k] == key) break;  // every ancestor is unchanged too
+    least_[k] = key;
+  }
+}
+
+void ClusterCapacity::mark_dirty(int id) {
+  groups_[static_cast<std::size_t>(id)].dirty = true;
+}
+
+bool ClusterCapacity::take_dirty(int group) {
+  require(group >= 0 && static_cast<std::size_t>(group) < groups_.size(),
+          "group id out of range");
+  Group& g = groups_[static_cast<std::size_t>(group)];
+  const bool dirty = g.dirty;
+  g.dirty = false;
+  return dirty;
+}
+
+void ClusterCapacity::count_hosts(int id) {
+  hosts_.clear();
+  for (int n : groups_[static_cast<std::size_t>(id)].nodes) {
+    if (per_node_[static_cast<std::size_t>(n)]++ == 0) hosts_.push_back(n);
+  }
 }
 
 int ClusterCapacity::pending_nodes() const noexcept {
@@ -34,79 +88,112 @@ double ClusterCapacity::utilization() const {
                   static_cast<double>(used_.size()));
 }
 
-int ClusterCapacity::pack_pods(Group& group, int count) {
-  if (count > 0 && used_.empty()) {
+int ClusterCapacity::pack_pods(int id, int count) {
+  if (count <= 0) return 0;
+  if (used_.empty()) {
     // No node survives (chaos can fail the last one): the pods are
-    // stranded — counted and dropped, never an assert.  The overcommit
-    // fallback below indexes used_[0], so this must be handled first.
+    // stranded — counted and dropped, never an assert.
     stranded_ += count;
     log_warn("cluster: ", count, " pods stranded (no nodes left)");
     return 0;
   }
+  mark_dirty(id);
+  Group& group = groups_[static_cast<std::size_t>(id)];
   const Millicores pod_mc = group.pod_mc;
-  // This group's pods per node, from its current placement.
-  std::vector<int>& per_node = per_node_;
-  per_node.assign(used_.size(), 0);
-  for (int n : group.nodes) ++per_node[static_cast<std::size_t>(n)];
-  for (int p = 0; p < count; ++p) {
+  const auto fits = [&](int n) {
+    return used_[static_cast<std::size_t>(n)] + pod_mc <=
+           config_.node_capacity_mc;
+  };
+  const auto pods_on = [&](int n) {
+    return per_node_[static_cast<std::size_t>(n)];
+  };
+  // Pack with the group's own pods first: the node hosting the most of
+  // them that still has room, ties to the lower used_, then the lower
+  // index.  Returns -1 when none of the group's nodes has room.
+  const auto best_host = [&] {
     int best = -1;
-    for (std::size_t n = 0; n < used_.size(); ++n) {
-      if (used_[n] + pod_mc > config_.node_capacity_mc) continue;
-      // Pack with the group's own pods first; among group-free nodes pick
-      // the emptiest, so distinct groups only share once capacity forces
-      // them to (contention comes from load, not from tie-breaking).
-      if (best < 0 ||
-          per_node[n] > per_node[static_cast<std::size_t>(best)] ||
-          (per_node[n] == per_node[static_cast<std::size_t>(best)] &&
-           used_[n] < used_[static_cast<std::size_t>(best)])) {
-        best = static_cast<int>(n);
+    for (int n : hosts_) {
+      if (!fits(n)) continue;
+      if (best < 0 || pods_on(n) > pods_on(best) ||
+          (pods_on(n) == pods_on(best) && node_key(n) < node_key(best))) {
+        best = n;
       }
     }
-    if (best < 0) {
-      // Saturated: overcommit the least-used node (ties to the lowest
-      // index, keeping the packing deterministic).
-      best = 0;
-      for (std::size_t n = 1; n < used_.size(); ++n) {
-        if (used_[n] < used_[static_cast<std::size_t>(best)]) {
-          best = static_cast<int>(n);
-        }
-      }
-      ++overcommitted_;
+    return best;
+  };
+  count_hosts(id);
+  int host = best_host();
+  for (int p = 0; p < count; ++p) {
+    int node = host;
+    if (node < 0) {
+      // No node of the group has room: the emptiest node, so distinct
+      // groups only share once capacity forces them to (contention comes
+      // from load, not from tie-breaking).  If even it has no room, no
+      // node does: overcommit it (ties to the lowest index, keeping the
+      // packing deterministic).
+      node = static_cast<int>(least_[1] & 0xffffffffu);
+      if (!fits(node)) ++overcommitted_;
     }
-    used_[static_cast<std::size_t>(best)] += pod_mc;
-    ++per_node[static_cast<std::size_t>(best)];
-    group.nodes.push_back(best);
+    used_[static_cast<std::size_t>(node)] += pod_mc;
+    update_node(node);
+    if (per_node_[static_cast<std::size_t>(node)]++ == 0) {
+      hosts_.push_back(node);
+    }
+    group.nodes.push_back(node);
+    // used_ only grows here, so a node without room never regains it.  A
+    // host that keeps room stays the best (it just gained a pod); a fresh
+    // node with room is the group's only host that has any.
+    if (fits(node)) {
+      host = node;
+    } else if (node == host) {
+      host = best_host();
+    }
   }
+  for (int n : hosts_) per_node_[static_cast<std::size_t>(n)] = 0;
   return count;
 }
 
-void ClusterCapacity::release_pods(Group& group, int count) {
-  std::vector<int>& per_node = per_node_;
-  per_node.assign(used_.size(), 0);
-  for (int n : group.nodes) ++per_node[static_cast<std::size_t>(n)];
-  for (int p = 0; p < count; ++p) {
-    // Release from the node where the group is thinnest (spills unwind
-    // before the packed core), ties to the highest index.
+void ClusterCapacity::release_pods(int id, int count) {
+  Group& group = groups_[static_cast<std::size_t>(id)];
+  require(count <= static_cast<int>(group.nodes.size()),
+          "release_pods: group has no pods left");
+  if (count <= 0) return;
+  mark_dirty(id);
+  count_hosts(id);
+  // Release from the node where the group is thinnest (spills unwind
+  // before the packed core), ties to the highest index.  A node stays the
+  // thinnest until it empties, so release drains whole nodes in that
+  // order; per_node_ becomes how many of each node's pods stay.
+  for (int left = count; left > 0;) {
     int victim = -1;
-    for (std::size_t n = 0; n < used_.size(); ++n) {
-      if (per_node[n] == 0) continue;
-      if (victim < 0 ||
-          per_node[n] <= per_node[static_cast<std::size_t>(victim)]) {
-        victim = static_cast<int>(n);
+    for (int n : hosts_) {
+      const int pods = per_node_[static_cast<std::size_t>(n)];
+      if (pods == 0) continue;
+      if (victim < 0 || pods < per_node_[static_cast<std::size_t>(victim)] ||
+          (pods == per_node_[static_cast<std::size_t>(victim)] &&
+           n > victim)) {
+        victim = n;
       }
     }
-    require(victim >= 0, "release_pods: group has no pods left");
-    used_[static_cast<std::size_t>(victim)] -= group.pod_mc;
-    --per_node[static_cast<std::size_t>(victim)];
-    // Drop the last placement entry on that node, keeping earlier order.
-    for (std::size_t i = group.nodes.size(); i > 0; --i) {
-      if (group.nodes[i - 1] == victim) {
-        group.nodes.erase(group.nodes.begin() +
-                          static_cast<std::ptrdiff_t>(i - 1));
-        break;
-      }
+    int& stay = per_node_[static_cast<std::size_t>(victim)];
+    const int taken = std::min(left, stay);
+    stay -= taken;
+    left -= taken;
+    used_[static_cast<std::size_t>(victim)] -= taken * group.pod_mc;
+    update_node(victim);
+  }
+  // Keep each node's first placement entries and drop its last ones —
+  // the ones a pod-by-pod release would drop — preserving the order of
+  // the rest.  Counting the kept entries down zeroes per_node_ again.
+  auto kept = group.nodes.begin();
+  for (int n : group.nodes) {
+    int& keep = per_node_[static_cast<std::size_t>(n)];
+    if (keep > 0) {
+      --keep;
+      *kept++ = n;
     }
   }
+  group.nodes.erase(kept, group.nodes.end());
 }
 
 int ClusterCapacity::add_group(int count, Millicores pod_mc) {
@@ -118,8 +205,10 @@ int ClusterCapacity::add_group(int count, Millicores pod_mc) {
   group.pod_mc = pod_mc;
   group.nodes.reserve(static_cast<std::size_t>(count));
   groups_.push_back(std::move(group));
-  pack_pods(groups_.back(), count);
-  return static_cast<int>(groups_.size()) - 1;
+  const int id = static_cast<int>(groups_.size()) - 1;
+  mark_dirty(id);  // new, even when empty: its co-residency was never read
+  pack_pods(id, count);
+  return id;
 }
 
 std::vector<int> ClusterCapacity::place_group(int count, Millicores pod_mc) {
@@ -139,7 +228,19 @@ Millicores ClusterCapacity::group_pod_mc(int group) const {
 }
 
 double ClusterCapacity::group_coresidency(int group) const {
-  return mean_coresidency(assignment(group), per_node_);
+  const std::vector<int>& nodes = assignment(group);
+  if (nodes.empty()) return 0.0;
+  for (int n : nodes) ++per_node_[static_cast<std::size_t>(n)];
+  // Each node's c pods each count c co-residents: add c * c once per node
+  // and zero its counter.  The integer total equals the per-pod sum
+  // exactly, and so does its conversion to double.
+  std::int64_t total = 0;
+  for (int n : nodes) {
+    int& pods = per_node_[static_cast<std::size_t>(n)];
+    total += static_cast<std::int64_t>(pods) * pods;
+    pods = 0;
+  }
+  return static_cast<double>(total) / static_cast<double>(nodes.size());
 }
 
 void ClusterCapacity::resize_group(int group, int count) {
@@ -150,9 +251,9 @@ void ClusterCapacity::resize_group(int group, int count) {
   const int current = static_cast<int>(g.nodes.size());
   if (count > current) {
     require(g.pod_mc > 0, "cannot grow a group placed with zero-size pods");
-    pack_pods(g, count - current);
+    pack_pods(group, count - current);
   } else if (count < current) {
-    release_pods(g, current - count);
+    release_pods(group, current - count);
   }
 }
 
@@ -171,9 +272,11 @@ ClusterCapacity::RemoveOutcome ClusterCapacity::fail_node(int victim) {
         ++displaced[g];
       }
     }
+    if (displaced[g] > 0) mark_dirty(static_cast<int>(g));
   }
   // Retire the node and renumber every assignment past it.
   used_.erase(used_.begin() + victim);
+  reindex_nodes();
   for (Group& group : groups_) {
     for (int& n : group.nodes) {
       if (n > victim) --n;
@@ -185,7 +288,7 @@ ClusterCapacity::RemoveOutcome ClusterCapacity::fail_node(int victim) {
   RemoveOutcome out;
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     if (displaced[g] == 0) continue;
-    const int placed = pack_pods(groups_[g], displaced[g]);
+    const int placed = pack_pods(static_cast<int>(g), displaced[g]);
     out.displaced += placed;
     out.stranded += displaced[g] - placed;
   }
@@ -223,6 +326,7 @@ ClusterCapacity::ScaleEvent ClusterCapacity::autoscale_step(
       ++i;
     }
   }
+  if (event.added > 0) reindex_nodes();
   if (!cfg.enabled) return event;
   require(cfg.min_nodes >= 1 && cfg.max_nodes >= cfg.min_nodes,
           "autoscale node bounds must satisfy 1 <= min <= max");
@@ -245,6 +349,7 @@ ClusterCapacity::ScaleEvent ClusterCapacity::autoscale_step(
     if (deficit > 0) {
       if (cfg.scale_out_latency_epochs <= 0) {
         used_.insert(used_.end(), static_cast<std::size_t>(deficit), 0);
+        reindex_nodes();
         event.added += deficit;
       } else {
         orders_.emplace_back(cfg.scale_out_latency_epochs, deficit);
@@ -267,12 +372,11 @@ ClusterCapacity::ScaleEvent ClusterCapacity::autoscale_step(
   return event;
 }
 
-double ClusterCapacity::mean_coresidency(const std::vector<int>& assignment,
-                                         std::vector<int>& per_node) {
+double ClusterCapacity::mean_coresidency(const std::vector<int>& assignment) {
   if (assignment.empty()) return 0.0;
   int max_node = 0;
   for (int n : assignment) max_node = n > max_node ? n : max_node;
-  per_node.assign(static_cast<std::size_t>(max_node) + 1, 0);
+  std::vector<int> per_node(static_cast<std::size_t>(max_node) + 1, 0);
   for (int n : assignment) ++per_node[static_cast<std::size_t>(n)];
   double total = 0.0;
   for (int n : assignment) {

@@ -19,9 +19,16 @@
 // call sequence (no randomness, no hidden state), so fleet results stay
 // bit-identical at any shard count; the plan-once pipeline is simply the
 // sequence "add every group, never step".
+//
+// Packing a pod costs O(log nodes) plus a scan of its own group's nodes:
+// a least-used node index answers "emptiest node, ties to the lowest
+// index", and per-node counts are touched only over the group's pods.
+// Each mutation marks the groups it moved (take_dirty), so the control
+// plane recomputes co-residency only for those.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -131,33 +138,48 @@ class ClusterCapacity {
   /// asserting.
   RemoveOutcome fail_node(int victim);
 
+  /// Whether the group's placement changed (added, grown, shrunk, or
+  /// evicted from a failed node) since the last call for it; clears the
+  /// mark.  A group's co-residency depends only on its own assignment —
+  /// and renumbering nodes keeps its per-node counts — so a group that is
+  /// not dirty still has the co-residency it had when last taken.
+  bool take_dirty(int group);
+
   /// Mean same-group co-residency of a placement: the average, over pods,
   /// of how many of the group's pods share that pod's node.  An empty
-  /// placement has no pods co-resident with anything: 0.  `per_node` is
-  /// scratch space (overwritten), so repeated calls reuse one buffer.
-  static double mean_coresidency(const std::vector<int>& assignment,
-                                 std::vector<int>& per_node);
-  static double mean_coresidency(const std::vector<int>& assignment) {
-    std::vector<int> per_node;
-    return mean_coresidency(assignment, per_node);
-  }
+  /// placement has no pods co-resident with anything: 0.
+  static double mean_coresidency(const std::vector<int>& assignment);
 
  private:
   struct Group {
     Millicores pod_mc = 0;
+    bool dirty = false;      // see take_dirty
     std::vector<int> nodes;  // node index per pod
   };
 
-  /// Packs up to `count` more pods of `group` (the add_group / grow rule);
-  /// returns how many were actually placed.  With zero nodes left nothing
-  /// can be placed: the shortfall is counted in stranded_ and the group
-  /// simply stays smaller — degraded capacity, not a crash.
-  int pack_pods(Group& group, int count);
-  /// Releases `count` pods of `group`, thinnest nodes first.
-  void release_pods(Group& group, int count);
+  /// Packs up to `count` more pods of group `id` (the add_group / grow
+  /// rule); returns how many were actually placed.  With zero nodes left
+  /// nothing can be placed: the shortfall is counted in stranded_ and the
+  /// group simply stays smaller — degraded capacity, not a crash.
+  int pack_pods(int id, int count);
+  /// Releases `count` pods of group `id`, thinnest nodes first.
+  void release_pods(int id, int count);
+  /// Counts group `id`'s pods per node into per_node_ and lists the nodes
+  /// it occupies in hosts_; the caller zeroes per_node_ over hosts_ again.
+  void count_hosts(int id);
   /// Scales in one node (emptiest, ties to the highest index); returns how
   /// many pods it displaced (re-packed).
   int remove_one_node();
+  void mark_dirty(int id);
+  /// Rebuilds the least-used index and resizes per_node_ after the node
+  /// count changed (nodes added or one removed).
+  void reindex_nodes();
+  /// Re-ranks `node` in the least-used index after used_[node] changed.
+  void update_node(int node);
+  /// `node`'s least-used index key: used_ in the high half, the index in
+  /// the low half, so the smaller key is the less-used node, ties to the
+  /// lower index.
+  std::uint64_t node_key(int node) const noexcept;
 
   ClusterConfig config_;
   std::vector<Millicores> used_;
@@ -166,10 +188,21 @@ class ClusterCapacity {
   std::vector<std::pair<int, int>> orders_;
   int overcommitted_ = 0;
   int stranded_ = 0;
-  /// Per-node pod counts reused by packing, release and co-residency
-  /// queries (the control plane runs them for every group at every
-  /// barrier).  The cluster is only touched from one thread.
+  /// Least-used node index: a tournament tree of node_key()s.  Leaves
+  /// start at least_[leaves_] (leaf n = node n; all-ones past the last
+  /// node) and each inner entry is the smaller of its two children, so
+  /// least_[1] names the least-used node, ties to the lowest index.
+  /// Packing a pod outside its group's own nodes is O(log nodes).
+  std::vector<std::uint64_t> least_;
+  std::size_t leaves_ = 0;
+  /// Per-node pod counts of the one group being packed, released or
+  /// measured.  Invariant: all zero and sized to the node count between
+  /// calls — each call increments only the entries of its group's nodes
+  /// and zeroes them again, so no call pays for the whole pool.  The
+  /// cluster is only touched from one thread.
   mutable std::vector<int> per_node_;
+  /// Distinct nodes hosting the group in per_node_ (scratch).
+  std::vector<int> hosts_;
 };
 
 }  // namespace janus

@@ -41,17 +41,23 @@ EpochFeed& ControlPlane::plan_tenant(const std::vector<int>& stage_pods,
   }
   tenants_.push_back(groups);
   feeds_.emplace_back(stage_pods.size(), live());
-  broadcast(tenants_.size() - 1);
+  // Adding a group places only its own pods: no other tenant changed.
+  broadcast_dirty(tenants_.size() - 1);
   return feeds_.back();
 }
 
-void ControlPlane::broadcast(std::size_t tenant) {
+void ControlPlane::broadcast_dirty(std::size_t tenant) {
   const TenantGroups& groups = tenants_[tenant];
-  EpochFeed& feed = feeds_[tenant];
   for (std::size_t s = 0; s < groups.stages; ++s) {
-    feed.set_stage_mean(
-        s, cluster_.group_coresidency(groups.first + static_cast<int>(s)));
+    const int group = groups.first + static_cast<int>(s);
+    if (cluster_.take_dirty(group)) {
+      feeds_[tenant].set_stage_mean(s, cluster_.group_coresidency(group));
+    }
   }
+}
+
+void ControlPlane::broadcast_dirty() {
+  for (std::size_t t = 0; t < tenants_.size(); ++t) broadcast_dirty(t);
 }
 
 ClusterCapacity::RemoveOutcome ControlPlane::inject_node_failure(int node) {
@@ -59,7 +65,7 @@ ClusterCapacity::RemoveOutcome ControlPlane::inject_node_failure(int node) {
   // Rebroadcast immediately: the failure just concentrated surviving pods,
   // and the feeds must reflect that even if no reconcile follows (tests
   // drive this standalone; run_fleet reconciles right after anyway).
-  for (std::size_t t = 0; t < tenants_.size(); ++t) broadcast(t);
+  broadcast_dirty();
   return out;
 }
 
@@ -98,8 +104,9 @@ void ControlPlane::reconcile(Seconds sim_time,
   snap.nodes = cluster_.nodes();
   snap.pending_nodes = cluster_.pending_nodes();
   snap.utilization = cluster_.utilization();
-  // Broadcast the post-repack co-residency (scale-in may have moved pods).
-  for (std::size_t t = 0; t < tenants_.size(); ++t) broadcast(t);
+  // Broadcast the post-repack co-residency of every group a resize or a
+  // scale-in moved pods into or out of.
+  broadcast_dirty();
   log_debug("control: epoch ", snap.epoch, " @", sim_time, "s: ",
             snap.groups_resized, " groups resized, nodes=", snap.nodes, " (+",
             snap.nodes_added, "/-", snap.nodes_removed, ", ",

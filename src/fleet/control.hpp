@@ -139,7 +139,7 @@ class ControlPlane {
 
   /// Chaos injection: fails cluster node `node` outright (pods evicted,
   /// re-packed in group-id order, stranded when nothing can take them) and
-  /// rebroadcasts every tenant's post-failure co-residency — so
+  /// rebroadcasts the co-residency of every group it moved — so
   /// contention-aware policies see the crowding the failure created even
   /// before the next reconcile.  Returns what happened to the node's pods.
   ClusterCapacity::RemoveOutcome inject_node_failure(int node);
@@ -165,8 +165,13 @@ class ControlPlane {
     std::size_t stages = 0;
   };
 
-  /// Pushes the current packing of tenant t into its feed.
-  void broadcast(std::size_t tenant);
+  /// Pushes the current co-residency of each of the tenant's groups the
+  /// cluster marked dirty (added, resized, or moved by a node removal)
+  /// into its feed.  The other groups' co-residency is unchanged, so the
+  /// feed already holds it.
+  void broadcast_dirty(std::size_t tenant);
+  /// broadcast_dirty for every tenant.
+  void broadcast_dirty();
 
   ClusterCapacity cluster_;
   ControlConfig config_;

@@ -897,7 +897,8 @@ std::string FleetResult::to_json() const {
      << "  \"control\": {\"epochs\": " << epochs
      << ", \"final_nodes\": " << final_nodes
      << ", \"nodes_added\": " << nodes_added
-     << ", \"nodes_removed\": " << nodes_removed << "},\n";
+     << ", \"nodes_removed\": " << nodes_removed
+     << ", \"groups_resized\": " << groups_resized << "},\n";
   if (chaos_enabled) {
     os << "  \"chaos\": {\"node_failures\": " << chaos.node_failures
        << ", \"displaced_pods\": " << chaos.displaced_pods
@@ -979,6 +980,7 @@ FleetResult merge_fleet_slices(const FleetConfig& config,
   for (const EpochSnapshot& snap : out.epoch_log) {
     out.nodes_added += snap.nodes_added;
     out.nodes_removed += snap.nodes_removed;
+    out.groups_resized += static_cast<std::uint64_t>(snap.groups_resized);
   }
 
   out.fleet_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);

@@ -203,6 +203,9 @@ struct FleetResult {
   int final_nodes = 0;
   int nodes_added = 0;
   int nodes_removed = 0;
+  /// Pod groups the barriers resized, summed over the epoch log (the
+  /// control plane's packing work).
+  std::uint64_t groups_resized = 0;
   /// Per-barrier audit trail (empty on the static path).
   std::vector<EpochSnapshot> epoch_log;
   // ---- Chaos (deterministic; part of the bit-identical set). ----

@@ -7,14 +7,18 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <new>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/log.hpp"
+#include "common/rng.hpp"
 #include "fleet/arrivals.hpp"
 #include "fleet/cluster.hpp"
 #include "fleet/control.hpp"
@@ -535,6 +539,419 @@ TEST(Cluster, ScaleInRepacksDisplacedGroupsDeterministically) {
   }
   // Scale-in respects the floor and the utilization band.
   EXPECT_GE(std::get<2>(a), 1);
+}
+
+// Reference packing for the differential test below: the pool as it was
+// before the least-used index, scanning every node for every pod, with a
+// per-node count table filled from scratch on every call.  It is kept
+// here, unoptimized, as the specification of every tie-break the indexed
+// ClusterCapacity must reproduce.
+class ReferenceCluster {
+ public:
+  ReferenceCluster(int nodes, Millicores capacity)
+      : capacity_(capacity), used_(static_cast<std::size_t>(nodes), 0) {}
+
+  int nodes() const { return static_cast<int>(used_.size()); }
+  Millicores used_mc(int node) const {
+    return used_[static_cast<std::size_t>(node)];
+  }
+  int overcommitted_pods() const { return overcommitted_; }
+  int stranded_pods() const { return stranded_; }
+  const std::vector<int>& assignment(int group) const {
+    return groups_[static_cast<std::size_t>(group)].nodes;
+  }
+
+  int add_group(int count, Millicores pod_mc) {
+    groups_.push_back({pod_mc, {}});
+    pack_pods(groups_.back(), count);
+    return static_cast<int>(groups_.size()) - 1;
+  }
+
+  void resize_group(int group, int count) {
+    Group& g = groups_[static_cast<std::size_t>(group)];
+    const int current = static_cast<int>(g.nodes.size());
+    if (count > current) pack_pods(g, count - current);
+    if (count < current) release_pods(g, current - count);
+  }
+
+  ClusterCapacity::RemoveOutcome fail_node(int victim) {
+    std::vector<int> displaced(groups_.size(), 0);
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      Group& group = groups_[g];
+      for (std::size_t i = group.nodes.size(); i > 0; --i) {
+        if (group.nodes[i - 1] == victim) {
+          group.nodes.erase(group.nodes.begin() +
+                            static_cast<std::ptrdiff_t>(i - 1));
+          used_[static_cast<std::size_t>(victim)] -= group.pod_mc;
+          ++displaced[g];
+        }
+      }
+    }
+    used_.erase(used_.begin() + victim);
+    for (Group& group : groups_) {
+      for (int& n : group.nodes) {
+        if (n > victim) --n;
+      }
+    }
+    ClusterCapacity::RemoveOutcome out;
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      if (displaced[g] == 0) continue;
+      const int placed = pack_pods(groups_[g], displaced[g]);
+      out.displaced += placed;
+      out.stranded += displaced[g] - placed;
+    }
+    return out;
+  }
+
+  ClusterCapacity::ScaleEvent autoscale_step(const AutoscaleConfig& cfg) {
+    ClusterCapacity::ScaleEvent event;
+    for (auto& order : orders_) --order.first;
+    for (std::size_t i = 0; i < orders_.size();) {
+      if (orders_[i].first <= 0) {
+        used_.insert(used_.end(), static_cast<std::size_t>(orders_[i].second),
+                     0);
+        event.added += orders_[i].second;
+        orders_.erase(orders_.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+    if (!cfg.enabled) return event;
+    const double u = utilization();
+    int pending = 0;
+    for (const auto& order : orders_) pending += order.second;
+    const int total = nodes() + pending;
+    if (u > cfg.scale_out_utilization && total < cfg.max_nodes) {
+      double used_total = 0.0;
+      for (Millicores m : used_) used_total += static_cast<double>(m);
+      const int want = static_cast<int>(std::ceil(
+          used_total /
+          (cfg.scale_out_utilization * static_cast<double>(capacity_))));
+      const int deficit =
+          std::min({want - total, cfg.max_step_nodes, cfg.max_nodes - total});
+      if (deficit > 0) {
+        if (cfg.scale_out_latency_epochs <= 0) {
+          used_.insert(used_.end(), static_cast<std::size_t>(deficit), 0);
+          event.added += deficit;
+        } else {
+          orders_.emplace_back(cfg.scale_out_latency_epochs, deficit);
+          event.ordered = deficit;
+        }
+      }
+    } else if (u < cfg.scale_in_utilization) {
+      while (event.removed < cfg.max_step_nodes && nodes() > cfg.min_nodes &&
+             utilization() < cfg.scale_in_utilization) {
+        int victim = 0;
+        for (std::size_t n = 1; n < used_.size(); ++n) {
+          if (used_[n] <= used_[static_cast<std::size_t>(victim)]) {
+            victim = static_cast<int>(n);
+          }
+        }
+        const ClusterCapacity::RemoveOutcome out = fail_node(victim);
+        event.displaced_pods += out.displaced + out.stranded;
+        ++event.removed;
+      }
+    }
+    return event;
+  }
+
+ private:
+  struct Group {
+    Millicores pod_mc = 0;
+    std::vector<int> nodes;
+  };
+
+  double utilization() const {
+    if (used_.empty()) return 0.0;
+    double total = 0.0;
+    for (Millicores u : used_) total += static_cast<double>(u);
+    return total / (static_cast<double>(capacity_) *
+                    static_cast<double>(used_.size()));
+  }
+
+  int pack_pods(Group& group, int count) {
+    if (count > 0 && used_.empty()) {
+      stranded_ += count;
+      return 0;
+    }
+    std::vector<int> per_node(used_.size(), 0);
+    for (int n : group.nodes) ++per_node[static_cast<std::size_t>(n)];
+    for (int p = 0; p < count; ++p) {
+      int best = -1;
+      for (std::size_t n = 0; n < used_.size(); ++n) {
+        if (used_[n] + group.pod_mc > capacity_) continue;
+        if (best < 0 ||
+            per_node[n] > per_node[static_cast<std::size_t>(best)] ||
+            (per_node[n] == per_node[static_cast<std::size_t>(best)] &&
+             used_[n] < used_[static_cast<std::size_t>(best)])) {
+          best = static_cast<int>(n);
+        }
+      }
+      if (best < 0) {
+        best = 0;
+        for (std::size_t n = 1; n < used_.size(); ++n) {
+          if (used_[n] < used_[static_cast<std::size_t>(best)]) {
+            best = static_cast<int>(n);
+          }
+        }
+        ++overcommitted_;
+      }
+      used_[static_cast<std::size_t>(best)] += group.pod_mc;
+      ++per_node[static_cast<std::size_t>(best)];
+      group.nodes.push_back(best);
+    }
+    return count;
+  }
+
+  void release_pods(Group& group, int count) {
+    std::vector<int> per_node(used_.size(), 0);
+    for (int n : group.nodes) ++per_node[static_cast<std::size_t>(n)];
+    for (int p = 0; p < count; ++p) {
+      int victim = -1;
+      for (std::size_t n = 0; n < used_.size(); ++n) {
+        if (per_node[n] == 0) continue;
+        if (victim < 0 ||
+            per_node[n] <= per_node[static_cast<std::size_t>(victim)]) {
+          victim = static_cast<int>(n);
+        }
+      }
+      used_[static_cast<std::size_t>(victim)] -= group.pod_mc;
+      --per_node[static_cast<std::size_t>(victim)];
+      for (std::size_t i = group.nodes.size(); i > 0; --i) {
+        if (group.nodes[i - 1] == victim) {
+          group.nodes.erase(group.nodes.begin() +
+                            static_cast<std::ptrdiff_t>(i - 1));
+          break;
+        }
+      }
+    }
+  }
+
+  Millicores capacity_;
+  std::vector<Millicores> used_;
+  std::vector<Group> groups_;
+  std::vector<std::pair<int, int>> orders_;
+  int overcommitted_ = 0;
+  int stranded_ = 0;
+};
+
+/// Holds logging at Error while in scope: each stranding logs a warning.
+struct QuietLog {
+  LogLevel saved = log_level();
+  QuietLog() { set_log_level(LogLevel::Error); }
+  ~QuietLog() { set_log_level(saved); }
+};
+
+/// One pool shape for the differential test.
+struct PoolCase {
+  int nodes = 0;
+  Millicores capacity = 0;
+  std::vector<Millicores> pod_sizes;  // drawn per group
+  int max_pods = 0;                   // per group, per resize
+};
+
+/// What one differential sequence exercised.
+struct PackingCoverage {
+  int ordered = 0;  // scale-out with latency
+  int added = 0;    // nodes that became usable (instant or matured)
+  int removed = 0;  // scale-in
+  int displaced = 0;
+  int overcommitted = 0;
+};
+
+/// Drives ClusterCapacity and ReferenceCluster through one seeded random
+/// sequence of add_group, resize_group, fail_node and autoscale_step
+/// (scale-out with and without latency, scale-in), then fails every node
+/// down to none, and expects identical state after every operation.
+void expect_packing_matches_reference(const PoolCase& pool, std::uint64_t seed,
+                                      PackingCoverage& seen) {
+  ClusterCapacity fast({pool.nodes, pool.capacity});
+  ReferenceCluster ref(pool.nodes, pool.capacity);
+  Rng rng(seed);
+  int groups = 0;
+  const auto expect_same = [&](int step) {
+    ASSERT_EQ(fast.nodes(), ref.nodes()) << "step " << step;
+    for (int n = 0; n < ref.nodes(); ++n) {
+      ASSERT_EQ(fast.used_mc(n), ref.used_mc(n))
+          << "step " << step << " node " << n;
+    }
+    for (int g = 0; g < groups; ++g) {
+      ASSERT_EQ(fast.assignment(g), ref.assignment(g))
+          << "step " << step << " group " << g;
+      ASSERT_EQ(fast.group_coresidency(g),
+                ClusterCapacity::mean_coresidency(ref.assignment(g)))
+          << "step " << step << " group " << g;
+    }
+    ASSERT_EQ(fast.overcommitted_pods(), ref.overcommitted_pods())
+        << "step " << step;
+    ASSERT_EQ(fast.stranded_pods(), ref.stranded_pods()) << "step " << step;
+  };
+  const auto draw = [&rng](int lo, int hi) {
+    return static_cast<int>(rng.uniform_int(lo, hi));
+  };
+  for (int step = 0; step < 300; ++step) {
+    const int op = groups == 0 ? 0 : draw(0, 9);
+    if (op <= 1) {
+      const int count = draw(0, pool.max_pods);
+      const Millicores mc = pool.pod_sizes[static_cast<std::size_t>(
+          draw(0, static_cast<int>(pool.pod_sizes.size()) - 1))];
+      ASSERT_EQ(fast.add_group(count, mc), ref.add_group(count, mc));
+      ++groups;
+    } else if (op <= 6) {
+      const int group = draw(0, groups - 1);
+      const int count = draw(0, pool.max_pods);
+      fast.resize_group(group, count);
+      ref.resize_group(group, count);
+    } else if (op == 7 && fast.nodes() > 1) {
+      const int victim = draw(0, fast.nodes() - 1);
+      const auto a = fast.fail_node(victim);
+      const auto b = ref.fail_node(victim);
+      ASSERT_EQ(a.displaced, b.displaced) << "step " << step;
+      ASSERT_EQ(a.stranded, b.stranded) << "step " << step;
+      seen.displaced += a.displaced;
+    } else {
+      AutoscaleConfig cfg;
+      cfg.enabled = draw(0, 4) != 0;
+      cfg.scale_out_latency_epochs = draw(0, 2);
+      cfg.max_step_nodes = draw(1, 4);
+      cfg.max_nodes = 3 * pool.nodes;
+      const auto a = fast.autoscale_step(cfg);
+      const auto b = ref.autoscale_step(cfg);
+      ASSERT_EQ(a.ordered, b.ordered) << "step " << step;
+      ASSERT_EQ(a.added, b.added) << "step " << step;
+      ASSERT_EQ(a.removed, b.removed) << "step " << step;
+      ASSERT_EQ(a.displaced_pods, b.displaced_pods) << "step " << step;
+      seen.ordered += a.ordered;
+      seen.added += a.added;
+      seen.removed += a.removed;
+      seen.displaced += a.displaced_pods;
+    }
+    expect_same(step);
+  }
+  // Fail every node, the last one included: its pods strand, and so do
+  // the pods of any later growth.
+  const QuietLog quiet;
+  for (int step = 300; fast.nodes() > 0; ++step) {
+    const int victim = draw(0, fast.nodes() - 1);
+    const auto a = fast.fail_node(victim);
+    const auto b = ref.fail_node(victim);
+    ASSERT_EQ(a.displaced, b.displaced) << "step " << step;
+    ASSERT_EQ(a.stranded, b.stranded) << "step " << step;
+    expect_same(step);
+  }
+  fast.resize_group(0, pool.max_pods);
+  ref.resize_group(0, pool.max_pods);
+  expect_same(-1);
+  seen.overcommitted += fast.overcommitted_pods();
+}
+
+TEST(Cluster, PackingMatchesReferenceOnSaturatedPools) {
+  // Few small nodes, big pods: most placements overcommit, so the pod goes
+  // to the least-used node of the whole pool, and the pool scales out.
+  PackingCoverage seen;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    expect_packing_matches_reference({4, 10000, {2000, 3000, 4000}, 12}, seed,
+                                     seen);
+  }
+  EXPECT_GT(seen.overcommitted, 0);
+  EXPECT_GT(seen.ordered, 0);
+  EXPECT_GT(seen.added, 0);
+}
+
+TEST(Cluster, PackingMatchesReferenceOnPartlyFreePools) {
+  // Room on most nodes: pods follow their group's own nodes, spill to the
+  // emptiest node, and scale-in repacks displaced groups.
+  PackingCoverage seen;
+  for (std::uint64_t seed : {4u, 5u, 6u}) {
+    expect_packing_matches_reference({12, 52000, {500, 1500, 4000}, 10}, seed,
+                                     seen);
+  }
+  EXPECT_GT(seen.removed, 0);
+  EXPECT_GT(seen.displaced, 0);
+}
+
+TEST(Cluster, PackingMatchesReferenceOnEqualUsageTies) {
+  // One pod size that divides the capacity: nodes keep landing on equal
+  // used_ and groups on equal per-node counts, so every tie-break (lowest
+  // index to pack, highest index to release) decides placements.
+  PackingCoverage seen;
+  for (std::uint64_t seed : {7u, 8u, 9u}) {
+    expect_packing_matches_reference({6, 4000, {1000}, 8}, seed, seen);
+  }
+  EXPECT_GT(seen.displaced, 0);
+}
+
+TEST(Control, DirtyBroadcastReachesEveryChangedGroup) {
+  // reconcile and inject_node_failure only rebroadcast the groups a
+  // resize, eviction or repack touched.  After each of them, every stage
+  // of every feed must still read the concentrated co-residency of its
+  // group's current placement — none may be missed.
+  ControlConfig config;
+  config.epoch_s = 1.0;
+  config.autoscale.enabled = true;
+  config.autoscale.scale_out_latency_epochs = 0;
+  config.autoscale.max_nodes = 16;
+  ControlPlane control(ClusterConfig{6, 10000}, config);
+  Rng rng(11);
+  std::vector<EpochFeed*> feeds;
+  for (int t = 0; t < 12; ++t) {
+    const auto stages = static_cast<std::size_t>(rng.uniform_int(1, 3));
+    std::vector<int> pods;
+    std::vector<Millicores> mc;
+    for (std::size_t s = 0; s < stages; ++s) {
+      pods.push_back(static_cast<int>(rng.uniform_int(0, 6)));  // 0: idle
+      mc.push_back(static_cast<Millicores>(1000 * rng.uniform_int(1, 3)));
+    }
+    feeds.push_back(&control.plan_tenant(pods, mc));
+  }
+  const auto expect_feeds = [&](const char* when) {
+    for (std::size_t t = 0; t < feeds.size(); ++t) {
+      for (std::size_t s = 0; s < feeds[t]->stages(); ++s) {
+        const double co =
+            control.cluster().group_coresidency(control.tenant_group(t, s));
+        EXPECT_EQ(feeds[t]->stage_distribution(s).weights,
+                  CoLocationDistribution::concentrated(co).weights)
+            << when << ": tenant " << t << " stage " << s;
+      }
+    }
+  };
+  expect_feeds("plan");
+  control.inject_node_failure(2);
+  expect_feeds("node failure");
+  // Busy epochs grow the groups and scale the pool out; idle ones shrink
+  // every group to one pod and scale in, displacing pods.
+  int displaced = 0;
+  int resized = 0;
+  for (int epoch = 0; epoch < 12; ++epoch) {
+    std::vector<std::vector<int>> observed;
+    for (const EpochFeed* feed : feeds) {
+      std::vector<int> row;
+      for (std::size_t s = 0; s < feed->stages(); ++s) {
+        row.push_back(epoch < 4 ? static_cast<int>(rng.uniform_int(0, 9))
+                                : static_cast<int>(rng.uniform_int(0, 1)));
+      }
+      observed.push_back(row);
+    }
+    control.reconcile(static_cast<double>(epoch + 1), observed);
+    displaced += control.history().back().displaced_pods;
+    resized += control.history().back().groups_resized;
+    expect_feeds("reconcile");
+  }
+  EXPECT_GT(resized, 0);
+  EXPECT_GT(displaced, 0);  // scale-in really moved pods
+  // Failing the last node strands every pod: the evicted groups change
+  // without any repack, and their feeds must still follow (from three
+  // co-resident pods to none).
+  std::vector<std::vector<int>> busy;
+  for (const EpochFeed* feed : feeds) busy.emplace_back(feed->stages(), 3);
+  control.reconcile(13.0, busy);
+  expect_feeds("reconcile");
+  const QuietLog quiet;
+  while (control.cluster().nodes() > 0) {
+    control.inject_node_failure(control.cluster().nodes() - 1);
+    expect_feeds("node failure");
+  }
+  EXPECT_GT(control.cluster().stranded_pods(), 0);
 }
 
 TEST(Control, EpochFeedStageMeanMatchesConcentrated) {
@@ -1091,6 +1508,7 @@ void expect_fleet_equal(const FleetResult& one, const FleetResult& many) {
   EXPECT_EQ(one.epochs, many.epochs);
   EXPECT_EQ(one.final_nodes, many.final_nodes);
   EXPECT_EQ(one.nodes_added, many.nodes_added);
+  EXPECT_EQ(one.groups_resized, many.groups_resized);
   ASSERT_EQ(one.epoch_log.size(), many.epoch_log.size());
   for (std::size_t e = 0; e < one.epoch_log.size(); ++e) {
     EXPECT_EQ(one.epoch_log[e].nodes, many.epoch_log[e].nodes);
@@ -1127,6 +1545,8 @@ TEST(Fleet, MultiProcessBitIdenticalStaticAndLive) {
       config.obs.timeline = true;
     }
     const FleetResult one = run_fleet(config);
+    // The live path resizes groups at its barriers; the static one has none.
+    EXPECT_EQ(one.groups_resized > 0, live);
     for (int processes : {2, 3, 5}) {
       config.processes = processes;
       const FleetResult many = run_fleet(config);
