@@ -92,9 +92,9 @@ int ClusterCapacity::pack_pods(int id, int count) {
   if (count <= 0) return 0;
   if (used_.empty()) {
     // No node survives (chaos can fail the last one): the pods are
-    // stranded — counted and dropped, never an assert.
+    // stranded — counted and dropped, never an assert.  The callers log
+    // one summary line per failure or barrier, not one per group.
     stranded_ += count;
-    log_warn("cluster: ", count, " pods stranded (no nodes left)");
     return 0;
   }
   mark_dirty(id);
@@ -291,6 +291,10 @@ ClusterCapacity::RemoveOutcome ClusterCapacity::fail_node(int victim) {
     const int placed = pack_pods(static_cast<int>(g), displaced[g]);
     out.displaced += placed;
     out.stranded += displaced[g] - placed;
+  }
+  if (out.stranded > 0) {
+    log_warn("cluster: node ", victim, " failed: ", out.stranded,
+             " pods stranded (no nodes left)");
   }
   return out;
 }

@@ -135,7 +135,7 @@ class ClusterCapacity {
   /// sequence.  Removing a node that hosts only zero-pod groups (or no
   /// groups) is a plain retirement.  When no node survives, the evicted
   /// pods are stranded (counted, dropped from their groups) rather than
-  /// asserting.
+  /// asserting, and one warning line reports how many.
   RemoveOutcome fail_node(int victim);
 
   /// Whether the group's placement changed (added, grown, shrunk, or
@@ -160,7 +160,9 @@ class ClusterCapacity {
   /// Packs up to `count` more pods of group `id` (the add_group / grow
   /// rule); returns how many were actually placed.  With zero nodes left
   /// nothing can be placed: the shortfall is counted in stranded_ and the
-  /// group simply stays smaller — degraded capacity, not a crash.
+  /// group simply stays smaller — degraded capacity, not a crash.  Silent:
+  /// one failure or barrier strands many groups, so fail_node and
+  /// ControlPlane::reconcile each log one summary line instead.
   int pack_pods(int id, int count);
   /// Releases `count` pods of group `id`, thinnest nodes first.
   void release_pods(int id, int count);

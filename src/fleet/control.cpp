@@ -79,6 +79,7 @@ void ControlPlane::reconcile(Seconds sim_time,
   snap.epoch = static_cast<int>(history_.size());
   snap.sim_time = sim_time;
   snap.chaos = chaos;
+  const int stranded_before = cluster_.stranded_pods();
   // Merge in tenant-index order — the fixed fold that keeps the packing a
   // pure function of (epoch, fleet seed, tenant set) at any shard count.
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
@@ -104,6 +105,11 @@ void ControlPlane::reconcile(Seconds sim_time,
   snap.nodes = cluster_.nodes();
   snap.pending_nodes = cluster_.pending_nodes();
   snap.utilization = cluster_.utilization();
+  const int stranded = cluster_.stranded_pods() - stranded_before;
+  if (stranded > 0) {
+    log_warn("control: epoch ", snap.epoch, ": ", stranded,
+             " pods stranded (no nodes left)");
+  }
   // Broadcast the post-repack co-residency of every group a resize or a
   // scale-in moved pods into or out of.
   broadcast_dirty();

@@ -132,7 +132,8 @@ class ControlPlane {
   /// this epoch; clamped to >= 1 — an idle stage still keeps one pod
   /// warm).  Merges in tenant-index order, autoscales, rebroadcasts.
   /// `chaos` is what the chaos engine injected just before this barrier
-  /// (defaults to calm), recorded on the snapshot.
+  /// (defaults to calm), recorded on the snapshot.  A barrier whose resizes
+  /// strand pods (no node left) logs one warning line for all of them.
   void reconcile(Seconds sim_time,
                  const std::vector<std::vector<int>>& observed,
                  const EpochChaos& chaos = {});

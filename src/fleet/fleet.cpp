@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -288,30 +289,24 @@ class PipeLink final : public BarrierLink {
 
 // ---------------------------------------------------------------------------
 
-/// Tenants per engine block, the one unit of per-tenant work: a shard sets
-/// up, runs, folds and releases its blocks in turn, so only one block's
-/// calendar, platforms, request slots and logs are cache-hot at a time.
-/// Sweep on a 4-core VM, median of 5 janus_cli runs of the three perfbench
-/// fleets: seconds in the simulate phase (coordinate for huge-streamed, 2
-/// processes) and huge-streamed peak RSS in MiB.  One engine per shard
-/// measured 0.92 / 0.79 / 1.31 s and 94.7 MiB.
-///   tenants/block   long-streams  many-tenants-live  huge-streamed  RSS
-///   16              0.61          0.40               0.59           101.6
-///   32              0.68          0.47               0.66           100.7
-///   64              0.63          0.46               0.73            99.2
-///   128             0.63          0.43               0.70            98.0
-/// Time is flat within run-to-run spread from 16 to 128 while every block
-/// adds an engine and a request pool, so RSS climbs as blocks shrink; 64
-/// is the smallest block that kept peak RSS within 5% of one engine.
-/// (Measured when a 4096-tenant wave held all of its blocks at once.)
+/// Tenants per engine block on the live path.  The static path runs one
+/// tenant per engine and does not use this.  A live block stays alive
+/// across every barrier, and each block carries its own engine, closure
+/// slabs and request pool, so smaller blocks mean more resident pools.
+/// With one-tenant blocks the many-tenants-live perfbench fleet read
+/// 454 MiB peak RSS against 119-124 MiB at 64, and its wall_seconds
+/// rose from 0.87-0.95 s to 1.18-1.26 s (janus_cli, 3 runs each, 4-core
+/// VM), most of it in plan, where the live blocks are set up.  An
+/// earlier 16-128 sweep found the live simulate time flat within
+/// run-to-run spread.
 constexpr std::size_t kBlockTenants = 64;
 
 /// One engine block's simulator state: the engine and request pool its
 /// tenants share, and one slot per tenant for platform, policy, request
 /// log, hook counters and trace ring.  The static path keeps one per shard
-/// and reloads it block after block — every container keeps its storage,
-/// and platforms are reset in place — while the live path keeps one per
-/// block alive across barriers.
+/// and reloads it tenant after tenant — every container keeps its
+/// storage, and the platform is reset in place — while the live path
+/// keeps one per block alive across barriers.
 struct Block {
   RequestPool pool;  // before the engine: pending closures point into it
   SimEngine engine;
@@ -341,10 +336,10 @@ struct ShardFold {
 /// and folds their metrics into a slice outcome.  This is the one
 /// execution path: run_fleet's single-process mode runs it over the whole
 /// fleet with a LocalLink, forked workers run it over their range with a
-/// PipeLink.  Block set-up, simulation and the per-tenant fold all run on
-/// the shard threads; the caller's plan phase covers the live path's
-/// initial set-up, and one simulate entry per epoch covers the rest
-/// (the static path has exactly one).
+/// PipeLink.  Set-up, simulation and the per-tenant fold all run on the
+/// shard threads; the caller's plan phase covers the live path's initial
+/// set-up, and one simulate entry per epoch covers the rest (the static
+/// path has exactly one).
 FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
                                 std::size_t lo, std::size_t hi,
                                 BarrierLink& link, PhaseProfiler* prof) {
@@ -354,13 +349,13 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
   const bool live = control.live();
   const std::size_t n = hi - lo;
   const auto shards = static_cast<std::size_t>(config.shards);
-  // The slice splits into contiguous, near-equal blocks (slice tenant i ->
-  // block i*B/n), B a multiple of the shard count so block b runs on shard
-  // b % shards and the shards stay balanced.  A tenant's results do not
-  // depend on which tenants share its engine, so the block layout cannot
-  // show in any output.
+  // Live path only: the slice splits into contiguous, near-equal blocks
+  // (slice tenant i -> block i*B/n), B a multiple of the shard count so
+  // block b runs on shard b % shards and the shards stay balanced.  A
+  // tenant's results do not depend on which tenants share its engine, so
+  // the block layout cannot show in any output.
   const std::size_t round = shards * kBlockTenants;
-  const std::size_t blocks = shards * ((n + round - 1) / round);
+  const std::size_t blocks = live ? shards * ((n + round - 1) / round) : 0;
   const auto first = [lo, n, blocks](std::size_t b) {
     return lo + (b * n + blocks - 1) / blocks;
   };
@@ -372,12 +367,11 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
   out.fleet_seed = config.seed;
   out.slice_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
   if (!stream) out.tenants.resize(n);
-  // Floating-point sums stay per tenant and are added in tenant order at
-  // the end, so no fold order or block layout can re-associate them; the
-  // spans of each block are concatenated in block (= tenant) order.
+  // Floating-point sums and spans stay per tenant and are added (or
+  // concatenated) in tenant order at the end, so neither the order in
+  // which shards fold tenants nor the block layout can show in them.
   std::vector<double> tenant_cpu(n, 0.0);
-  std::vector<std::vector<SpanRecord>> block_spans(
-      config.obs.trace ? blocks : 0);
+  std::vector<std::vector<SpanRecord>> tenant_spans(config.obs.trace ? n : 0);
   std::vector<ShardFold> shard_folds(shards);
   for (ShardFold& acc : shard_folds) acc.hist = out.slice_hist;
   // Live path only: barrier observations (one row per slice tenant,
@@ -402,8 +396,7 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
     if (config.obs.enabled()) stores[k].engine.set_obs(&engine_obs[k % shards]);
   }
   const auto block_of = [&](std::size_t t) -> Block& {
-    const std::size_t b = (t - lo) * blocks / n;
-    return stores[live ? b : b % shards];
+    return stores[(t - lo) * blocks / n];
   };
 
   // What every tenant's RunConfig shares; each shard copies it once.
@@ -415,12 +408,13 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
   base_rc.record_stage_detail = false;
   base_rc.trace_sample_every = config.obs.sample_every;
 
-  // Loads block b's tenants into `blk` and schedules their request streams
-  // on its engine.  The catalog is only read here (plan_fleet built every
-  // artifact), so shards set up concurrently.
-  const auto set_up = [&](Block& blk, std::size_t b, RunConfig& rc) {
-    blk.lo = first(b);
-    blk.hi = first(b + 1);
+  // Loads fleet tenants [first_t, last_t) into `blk` and schedules their
+  // request streams on its engine.  The catalog is only read here
+  // (plan_fleet built every artifact), so shards set up concurrently.
+  const auto set_up = [&](Block& blk, std::size_t first_t, std::size_t last_t,
+                          RunConfig& rc) {
+    blk.lo = first_t;
+    blk.hi = last_t;
     const std::size_t m = blk.hi - blk.lo;
     if (blk.platforms.size() < m) {
       blk.platforms.resize(m);
@@ -524,7 +518,7 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
     if (config.obs.trace) {
       tc.spans_recorded = blk.rings[j].recorded();
       tc.spans_dropped = blk.rings[j].dropped();
-      blk.rings[j].drain_to(block_spans[(t - lo) * blocks / n]);
+      blk.rings[j].drain_to(tenant_spans[i]);
     }
     acc.counters.merge(tc);
     acc.requeued += platform.requeued();
@@ -542,23 +536,34 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
     acc.sim_end = std::max(acc.sim_end, blk.engine.last_event_s());
   };
 
-  // The static path runs each block to drain on its shard's one reused
-  // Block, so live simulator state is shards x one block; the live path
-  // only sets its blocks up here (inside the caller's plan phase).
   ThreadPool threads(shards);
-  if (prof != nullptr && !live) prof->begin("simulate");
-  threads.parallel_for(shards, [&](std::size_t s) {
-    RunConfig rc = base_rc;
-    for (std::size_t b = s; b < blocks; b += shards) {
-      Block& blk = stores[live ? b : s];
-      set_up(blk, b, rc);
-      if (live) continue;
-      blk.engine.run_until(kNoEpochs);
-      fold_rest(blk, shard_folds[s]);
-      blk.engine.restart();
-    }
-  });
-  if (live) {
+  if (!live) {
+    // The static path runs one tenant at a time on each shard's one reused
+    // Block: a shard takes the next slice tenant from the shared counter,
+    // runs it to drain, folds it and releases it, so live simulator state
+    // is one tenant per shard and its calendar holds only that tenant's
+    // events.  Which shard ran a tenant cannot show in any output.
+    if (prof != nullptr) prof->begin("simulate");
+    std::atomic<std::size_t> next{lo};
+    threads.parallel_for(shards, [&](std::size_t s) {
+      RunConfig rc = base_rc;
+      Block& blk = stores[s];
+      for (std::size_t t = next++; t < hi; t = next++) {
+        set_up(blk, t, t + 1, rc);
+        blk.engine.run_until(kNoEpochs);
+        fold_rest(blk, shard_folds[s]);
+        blk.engine.restart();
+      }
+    });
+  } else {
+    // The live path only sets its blocks up here (inside the caller's plan
+    // phase); every block stays alive across the barriers.
+    threads.parallel_for(shards, [&](std::size_t s) {
+      RunConfig rc = base_rc;
+      for (std::size_t b = s; b < blocks; b += shards) {
+        set_up(stores[b], first(b), first(b + 1), rc);
+      }
+    });
     std::vector<std::vector<int>> full;
     Seconds epoch_end = control.epoch_s();
     for (;;) {
@@ -721,7 +726,7 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
       out.tenants[i].coresidency = control.tenant_coresidency(lo + i);
     }
   }
-  for (const std::vector<SpanRecord>& spans : block_spans) {
+  for (const std::vector<SpanRecord>& spans : tenant_spans) {
     out.spans.insert(out.spans.end(), spans.begin(), spans.end());
   }
   for (const EngineObs& gauge : engine_obs) {

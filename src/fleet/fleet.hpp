@@ -1,14 +1,16 @@
 // Sharded multi-tenant fleet simulator.
 //
-// Runs N tenant workloads concurrently: tenants are cut into contiguous
-// blocks of about 64, each block owns one deterministic SimEngine, and the
-// blocks are dealt round-robin across S shards.  A block is the unit of
-// per-tenant work: each shard thread sets up, runs, folds and releases its
-// blocks in turn (so only one block's state is cache-hot at a time, and on
-// the barrier-free path only one block per shard is alive).  Every
-// tenant's randomness derives from the fleet seed and its tenant index
-// alone, and no tenant's results depend on which engine it shares — so
-// fleet results are bit-identical regardless of the shard count.
+// Runs N tenant workloads concurrently on S shard threads, each tenant on
+// a deterministic SimEngine.  On the barrier-free (static) path the tenant
+// is the unit of work: each shard takes the next tenant from one shared
+// counter, runs it alone to drain on the shard's one reused engine, folds
+// it and releases it, so the calendar holds one tenant's events.  On the
+// live path tenants are cut into contiguous blocks of about 64 that share
+// an engine, block b runs on shard b % S, and every block stays alive
+// across the barriers.  Every tenant's randomness derives from the fleet
+// seed and its tenant index alone, and no tenant's results depend on which
+// engine or shard runs it — so fleet results are bit-identical regardless
+// of the shard count.
 //
 // Each tenant sizes its stages with a pluggable policy (fleet/policies):
 // the default "fixed" allocation, or any of the paper's §V systems —
@@ -170,9 +172,11 @@ struct FleetObs {
   /// merge when forked.  The phases run back to back, so their seconds
   /// add up to wall_seconds.
   std::vector<PhaseProfiler::Phase> phases;
-  /// Max calendar occupancy of any one block engine (0 when obs is off);
-  /// measured per block, so it tracks the block size, not the shard's
-  /// tenant count.
+  /// Max calendar occupancy of any one engine (0 when obs is off).  On the
+  /// static path an engine holds one tenant, so this is the largest
+  /// calendar any one tenant needed: the same at any shard or process
+  /// count.  On the live path it is measured per 64-tenant block, so it
+  /// depends on the block layout.
   std::uint64_t peak_pending = 0;
 };
 

@@ -63,14 +63,15 @@ struct FleetSliceOutcome {
   /// Simulated time of the slice's last executed event — the makespan the
   /// frontier's achieved-rps accounting divides by.  Each tenant's event
   /// times are independent of engine grouping, so the fleet-wide max is
-  /// bit-identical at any shard/process/block layout (unlike peak_pending).
+  /// bit-identical at any shard/process/block layout (unlike the live
+  /// path's peak_pending).
   Seconds sim_end_s = 0.0;
 
   ObsCounters counters;
   std::vector<SpanRecord> spans;        // slice tenants, tenant order
   std::vector<TimelineRow> timeline;    // slice tenants, (epoch, t, s) order
   std::uint64_t events_executed = 0;
-  std::uint64_t peak_pending = 0;       // per block engine; layout-dependent
+  std::uint64_t peak_pending = 0;       // per engine; see FleetObs
 
   // Control-plane summary — identical across slices of one run.
   int epochs = 0;

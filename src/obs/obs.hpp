@@ -79,10 +79,12 @@ struct ObsCounters {
   }
 };
 
-/// Per-engine (per-shard) gauges for the self-profiling pillar.  Calendar
-/// occupancy depends on which tenants share a shard, so these are
-/// *shard-layout dependent* and reported only in the machine-dependent
-/// profile section, never in the bit-identical metric set.
+/// Per-shard engine gauges for the self-profiling pillar.  A static-path
+/// engine runs one tenant at a time, so its peak is the largest calendar
+/// any one tenant needed, whatever the shard count; a live-path engine
+/// runs a block of tenants, so its peak depends on the block layout.  The
+/// gauges are reported only in the machine-dependent profile section,
+/// never in the bit-identical metric set.
 struct EngineObs {
   std::uint64_t peak_pending = 0;
 

@@ -2,14 +2,17 @@
 // pool, the epoch control plane, and the sharded multi-tenant fleet
 // runner's determinism + aggregation contracts.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <new>
 #include <string>
@@ -459,6 +462,71 @@ TEST(Cluster, FailLastNodeStrandsInsteadOfAsserting) {
   EXPECT_TRUE(cluster.assignment(group).empty());
   EXPECT_EQ(cluster.stranded_pods(), 5);
   EXPECT_THROW(cluster.fail_node(0), std::invalid_argument);
+}
+
+/// The lines `body` writes to stderr at Warn level, captured through a
+/// file the way test_common's log test does.
+std::vector<std::string> warn_lines(const std::function<void()>& body) {
+  const std::string path = testing::TempDir() + "janus_fleet_warn_test.txt";
+  std::FILE* capture = std::fopen(path.c_str(), "w+");
+  EXPECT_NE(capture, nullptr);
+  if (capture == nullptr) return {};
+  const int saved_fd = dup(fileno(stderr));
+  std::fflush(stderr);
+  EXPECT_GE(dup2(fileno(capture), fileno(stderr)), 0);
+  const LogLevel saved_level = log_level();
+  set_log_level(LogLevel::Warn);
+  body();
+  set_log_level(saved_level);
+  std::fflush(stderr);
+  EXPECT_GE(dup2(saved_fd, fileno(stderr)), 0);
+  close(saved_fd);
+  std::fclose(capture);
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::remove(path.c_str());
+  return lines;
+}
+
+TEST(Cluster, StrandingLogsOneLinePerFailureAndPerBarrier) {
+  // Packing is silent: the failure that strands every group's pods
+  // reports them all in one line, not one line per group.
+  ClusterCapacity cluster({1, 10000});
+  for (int g = 0; g < 3; ++g) cluster.add_group(2, 1000);
+  ClusterCapacity::RemoveOutcome out;
+  std::vector<std::string> lines =
+      warn_lines([&] { out = cluster.fail_node(0); });
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("6 pods stranded"), std::string::npos) << lines[0];
+  EXPECT_EQ(out.stranded, 6);
+  EXPECT_EQ(cluster.stranded_pods(), 6);
+  // Growing groups with no node left strands quietly; it is still counted.
+  lines = warn_lines([&] {
+    for (int g = 0; g < 3; ++g) cluster.resize_group(g, 3);
+  });
+  EXPECT_TRUE(lines.empty());
+  EXPECT_EQ(cluster.stranded_pods(), 15);
+
+  // A barrier whose resizes strand pods logs one line for all of them.
+  ControlConfig config;
+  config.epoch_s = 1.0;
+  ControlPlane control(ClusterConfig{1, 10000}, config);
+  for (int t = 0; t < 3; ++t) control.plan_tenant({1, 1}, {1000, 1000});
+  lines = warn_lines([&] { control.inject_node_failure(0); });
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("6 pods stranded"), std::string::npos) << lines[0];
+  const std::vector<std::vector<int>> busy(3, std::vector<int>{2, 4});
+  lines = warn_lines([&] { control.reconcile(1.0, busy); });
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("18 pods stranded"), std::string::npos)
+      << lines[0];
+  EXPECT_EQ(control.cluster().stranded_pods(), 24);
+  // The groups stay empty, so every later barrier strands them again, and
+  // again in one line.
+  lines = warn_lines([&] { control.reconcile(2.0, busy); });
+  EXPECT_EQ(lines.size(), 1u);
+  EXPECT_EQ(control.cluster().stranded_pods(), 42);
 }
 
 TEST(Cluster, ResizeGroupGrowsAndShrinks) {
@@ -1621,11 +1689,12 @@ TEST(Fleet, MergeRejectsInconsistentSlices) {
 }
 
 TEST(Fleet, StreamedStaticBlocksMatchTheDenseRunAtEveryShardCount) {
-  // 400 tenants make 7 engine blocks at 1 shard, 4 per shard at 2 and 3
-  // per shard at 3, so every shard folds and releases several blocks and
-  // reloads its block storage in between.  The dense single-shard run is
-  // the reference; every merged quantity is exact under re-association,
-  // so each streamed run must agree with it bit-for-bit.
+  // Each shard pulls the 400 tenants one at a time from a shared counter,
+  // so every shard folds and releases many tenants, reloads its block
+  // storage in between, and runs a different set of tenants from one run
+  // to the next.  The dense single-shard run is the reference; every
+  // merged quantity is exact under re-association, so each streamed run
+  // must agree with it bit-for-bit.
   FleetConfig config;
   config.tenants = make_tenant_mix(400, 2, 8.0, ArrivalKind::Poisson,
                                    /*mixed_kinds=*/true);
@@ -1746,9 +1815,11 @@ void expect_layout_invisible(FleetResult want, FleetResult got) {
 }
 
 TEST(Fleet, EngineBlocksCrossingShardsAreInvisible) {
-  // Enough tenants that every shard runs several engine blocks in
-  // sequence: 209 tenants make 4 blocks at 1 and 2 shards and 6 at 3,
-  // and 209 divides by neither, so block sizes differ.
+  // On the static path each shard runs tenants one at a time, pulled from
+  // a shared counter, so which shard runs a tenant changes between shard
+  // counts and runs.  On the live path every shard runs several engine
+  // blocks in sequence: 209 tenants make 4 blocks at 1 and 2 shards and 6
+  // at 3, and 209 divides by neither, so block sizes differ.
   FleetConfig config;
   config.tenants = make_tenant_mix(209, 6, 8.0, ArrivalKind::Poisson,
                                    /*mixed_kinds=*/true);
@@ -1756,14 +1827,19 @@ TEST(Fleet, EngineBlocksCrossingShardsAreInvisible) {
   config.obs.trace = true;
   config.obs.sample_every = 3;
 
-  // The static path first: one drain per block, no barriers.
+  // The static path first: one drain per tenant, no barriers.
   config.shards = 1;
   const FleetResult calm_one = run_fleet(config);
   ASSERT_FALSE(calm_one.obs.spans.empty());
   config.shards = 3;
   {
     SCOPED_TRACE("static path");
-    expect_layout_invisible(calm_one, run_fleet(config));
+    FleetResult calm_three = run_fleet(config);
+    // Every static engine holds one tenant, so the calendar peak is the
+    // largest any one tenant needed at every shard count.
+    EXPECT_GT(calm_one.obs.peak_pending, 0u);
+    EXPECT_EQ(calm_three.obs.peak_pending, calm_one.obs.peak_pending);
+    expect_layout_invisible(calm_one, std::move(calm_three));
   }
   // A block that never ran stays pending forever, so the live barrier
   // loop below would never end: stop at the static diagnosis instead.
