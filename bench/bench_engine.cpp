@@ -1,6 +1,6 @@
-// Engine microbenchmark: ladder-queue SimEngine vs the seed's binary-heap
-// calendar (std::priority_queue of std::function closures, reproduced here
-// verbatim as HeapEngine).
+// Engine microbenchmark: SimEngine (a binary heap of 16-byte nodes over a
+// pooled closure slab) vs the seed's calendar (std::priority_queue of
+// std::function closures, reproduced here verbatim as HeapEngine).
 //
 // The measurement is churn (hold-model) throughput: a fixed pending
 // population, and every fired event schedules one successor, so each
@@ -13,9 +13,10 @@
 //   bursty — MMPP-shaped: a two-state modulator alternates dense bursts of
 //            imminent events with sparse far-future holds.
 //
-// Emitted via bench_main as BENCH_engine.json; the recorded baseline is
-// the repo's evidence that the ladder clears >= 2x heap throughput at
-// 100k+ pending events.
+// Populations: 64 and 1024 pending events are the calendars the fleet runs
+// (one static-path tenant peaks near 56, one live-path 64-tenant block
+// near 1k, per `obs.peak_pending`); 10k-1M show how the two engines scale
+// past that.  Emitted via bench_main as BENCH_engine.json.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -140,11 +141,8 @@ double churn_events_per_sec(std::size_t pending, std::uint64_t ops,
     t += rng.exponential(1.0);
     engine.schedule_at(t, Fire<Engine>{&engine, holds.data(), &cursor});
   }
-  // Warm-up: reach steady state (ladder epochs built, pools grown, heap
-  // settled) before the clock starts.  Note the measured window spans
-  // epoch re-buckets only while pending <= ~ops/3 (an epoch is ~pending
-  // events long): the 10k/100k rows amortize several re-buckets into
-  // their numbers, the 1M rows measure the within-epoch path only.
+  // Warm-up: grow the slot pool and settle the heap before the clock
+  // starts.
   const std::uint64_t warm = ops / 10;
   while (engine.executed() < warm) engine.step();
 
@@ -160,50 +158,50 @@ double churn_events_per_sec(std::size_t pending, std::uint64_t ops,
 
 int main() {
   std::printf("%s",
-              banner("Engine: ladder queue vs binary heap, churn throughput")
+              banner("Engine: SimEngine vs std::function heap, churn "
+                     "throughput")
                   .c_str());
 
   constexpr std::uint64_t kOps = 300000;
-  const std::size_t populations[] = {10000, 100000, 1000000};
+  const std::size_t populations[] = {64, 1024, 10000, 100000, 1000000};
 
   std::vector<std::vector<std::string>> rows;
-  double speedup_100k_min = 0.0;
-  bool all_2x_at_100k = true;
+  double speedup_min = 0.0;
   // Best of 3 per cell: the interesting number is what the calendar can
   // do, not what the noisy neighbours on a shared box leave over.
   const auto best = [](double a, double b) { return a > b ? a : b; };
   for (std::size_t pending : populations) {
     for (bool bursty : {false, true}) {
-      double heap = 0.0, ladder = 0.0;
+      double heap = 0.0, engine = 0.0;
       for (int rep = 0; rep < 3; ++rep) {
         heap = best(heap, churn_events_per_sec<HeapEngine>(pending, kOps,
                                                            bursty));
-        ladder = best(ladder, churn_events_per_sec<SimEngine>(pending, kOps,
+        engine = best(engine, churn_events_per_sec<SimEngine>(pending, kOps,
                                                               bursty));
       }
-      const double speedup = ladder / heap;
+      const double speedup = engine / heap;
       rows.push_back({std::to_string(pending), bursty ? "bursty" : "sorted",
-                      fmt(heap / 1e6, 2), fmt(ladder / 1e6, 2),
+                      fmt(heap / 1e6, 2), fmt(engine / 1e6, 2),
                       fmt(speedup, 2)});
-      if (pending >= 100000) {
-        all_2x_at_100k = all_2x_at_100k && speedup >= 2.0;
-        if (speedup_100k_min == 0.0 || speedup < speedup_100k_min) {
-          speedup_100k_min = speedup;
-        }
-      }
+      if (speedup_min == 0.0 || speedup < speedup_min) speedup_min = speedup;
     }
   }
   std::printf("%s", render_table({"pending", "stream", "heap (Mev/s)",
-                                  "ladder (Mev/s)", "speedup"},
+                                  "SimEngine (Mev/s)", "speedup"},
                                  rows)
                         .c_str());
   std::printf("churn_ops: %llu\n", static_cast<unsigned long long>(kOps));
-  std::printf("ladder_speedup_min_at_100k_plus: %.2f\n", speedup_100k_min);
+  std::printf("engine_speedup_min: %.2f\n", speedup_min);
 
-  if (!all_2x_at_100k) {
+  // SimEngine runs the same heap algorithm over 16-byte nodes and pooled
+  // closures, so losing to the std::function heap anywhere means its
+  // event path has regressed.  A warning, not a failure: one cell of a
+  // shared box can lose to noise.
+  if (speedup_min < 1.0) {
     std::fprintf(stderr,
-                 "bench_engine: warning: ladder < 2x heap at a 100k+ pending "
-                 "population on this machine\n");
+                 "bench_engine: warning: SimEngine slower than the "
+                 "std::function heap at some pending population on this "
+                 "machine\n");
   }
   return 0;
 }

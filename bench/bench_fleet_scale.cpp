@@ -228,9 +228,10 @@ int main() {
                  reference.total_requests);
     return 1;
   }
-  // Warn threshold calibrated for a 2-core box: the ladder engine (PR 3)
-  // cut the 1-shard wall ~1.6x, so the remaining parallelizable work caps
-  // the 1->8 ratio well below the pre-ladder ~2.7x.
+  // Warn threshold calibrated for a 2-core box: the pooled-closure engine
+  // cut the 1-shard wall ~1.6x against a std::function heap, so the
+  // remaining parallelizable work caps the 1->8 ratio well below the ~2.7x
+  // it read before.
   if (speedup <= 1.5) {
     std::fprintf(stderr,
                  "bench_fleet_scale: warning: 1->8 shard speedup %.2fx <= "

@@ -10,7 +10,9 @@
 #
 # Plus the frontier subcommand's contract: `help`/`--help` exit 0 and
 # document `frontier`; frontier without its required --step exits 2 with
-# a one-line error naming the flag; an unknown flag exits 2.
+# a one-line error naming the flag; an unknown flag exits 2.  And the
+# float flags' range checks: NaN (and inf, where it has no meaning) fails
+# like any out-of-range value, with one `janus_cli:` line and exit 1.
 #
 # usage: cli_help_test.sh /path/to/janus_cli
 set -u
@@ -62,6 +64,31 @@ esac
 
 "$cli" frontier --step 10 --no-such-flag >/dev/null 2>&1
 [ $? -eq 2 ] || fail "frontier with an unknown flag did not exit 2"
+
+# ---- float flags reject NaN and meaningless inf ----------------------
+bad_float() {
+  local err code
+  err=$("$cli" "$@" 2>&1 >/dev/null)
+  code=$?
+  [ "$code" -eq 1 ] || fail "'$*' exited $code, want 1"
+  [ "$(printf '%s\n' "$err" | wc -l)" -eq 1 ] \
+    || fail "'$*' error is not one line: $err"
+  case "$err" in
+    "janus_cli: "*) ;;
+    *) fail "'$*' error lacks the janus_cli: prefix: $err" ;;
+  esac
+}
+bad_float fleet --epoch-s -1
+bad_float fleet --epoch-s nan
+bad_float fleet --contention-alpha nan
+bad_float fleet --contention-alpha inf
+bad_float frontier --step nan
+bad_float frontier --step 10 --stop nan
+bad_float frontier --step 10 --slo-target nan
+
+# The literal 'inf' spelling of --epoch-s still means "never reconcile".
+"$cli" fleet --epoch-s inf --tenants 2 --requests 20 >/dev/null 2>&1 \
+  || fail "fleet --epoch-s inf did not run"
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_help_test: $failures failure(s)" >&2

@@ -1,5 +1,6 @@
 // Tests for src/sim: event engine ordering (including the differential
-// ladder-vs-heap replay and the allocation-free steady-state contract),
+// replay against a reference heap and the allocation-free steady-state
+// contract),
 // platform pod lifecycle, warm pools, co-location packing, invoke outcomes.
 #include <gtest/gtest.h>
 
@@ -22,7 +23,7 @@
 
 // ---- Allocation-counting hook -------------------------------------------
 // Replaces this binary's global operator new/delete with counting
-// forwarders.  The ladder engine promises zero per-event heap allocations
+// forwarders.  The engine promises zero per-event heap allocations
 // once its pools are warm; SteadyStateEventPathDoesNotAllocate measures a
 // churn window against this counter to hold it to that.
 namespace {
@@ -190,7 +191,7 @@ TEST(SimEngine, RunUntilThenRunDrainsInOrder) {
   EXPECT_EQ(times, (std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0}));
 }
 
-// ---- differential ordering: ladder engine vs reference binary heap ------
+// ---- differential ordering: SimEngine vs reference binary heap ---------
 
 /// The seed implementation SimEngine replaced: one binary heap of
 /// (time, seq, closure).  Kept here as the ordering oracle.
@@ -289,9 +290,8 @@ TEST(SimEngine, DifferentialOrderingMatchesReferenceHeap) {
 }
 
 TEST(SimEngine, DifferentialOrderingAcrossEpochRebuckets) {
-  // Wide time range + few events per epoch forces many far-list re-bucket
-  // cycles; dense bursts force big near buckets.  Both must keep exact
-  // (time, seq) order.
+  // A wide time range with dense bursts: a deeper calendar and many exact
+  // ties must still keep (time, seq) order.
   for (std::uint64_t seed : {3ULL, 99ULL}) {
     const auto ladder = replay_script<SimEngine>(seed, 1500, 12000);
     const auto heap = replay_script<ReferenceHeapEngine>(seed, 1500, 12000);
@@ -313,6 +313,71 @@ TEST(SimEngine, DrainRefillDrainStaysOrdered) {
   }
   EXPECT_EQ(times.size(), 2500u);
   EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+}
+
+TEST(SimEngine, RestartReplaysLikeAFreshEngine) {
+  // The static fleet path restarts one engine per tenant; a restarted
+  // engine must order a replay exactly as a fresh one does.
+  struct Script {
+    SimEngine engine;
+    std::vector<std::pair<int, double>> log;
+    void load(std::uint64_t seed) {
+      Rng rng(seed);
+      for (int id = 0; id < 300; ++id) {
+        const double t = std::floor(rng.uniform(0.0, 50.0) * 4.0) / 4.0;
+        engine.schedule_at(t, [this, id] {
+          log.emplace_back(id, engine.now());
+          if (id % 3 == 0) {
+            engine.schedule_at(engine.now() - 1.0, [this, id] {
+              log.emplace_back(-id, engine.now());
+            });
+          }
+        });
+      }
+    }
+  };
+  Script fresh;
+  fresh.load(17);
+  fresh.engine.run();
+
+  Script reused;
+  reused.load(99);
+  reused.engine.run();
+  reused.engine.restart();
+  EXPECT_EQ(reused.engine.now(), 0.0);
+  EXPECT_EQ(reused.engine.executed(), 0u);
+  EXPECT_EQ(reused.engine.last_event_s(), 0.0);
+  reused.log.clear();
+  reused.load(17);
+  reused.engine.run();
+  EXPECT_EQ(reused.log, fresh.log);
+  EXPECT_EQ(reused.engine.executed(), fresh.engine.executed());
+  EXPECT_EQ(reused.engine.last_event_s(), fresh.engine.last_event_s());
+
+  reused.engine.schedule_at(1.0, [] {});
+  EXPECT_THROW(reused.engine.restart(), std::exception);
+  reused.engine.run();
+}
+
+TEST(SimEngine, DestroyingAnUndrainedEngineReleasesItsClosures) {
+  struct Counted {
+    int* live;
+    explicit Counted(int* l) : live(l) { ++*live; }
+    Counted(const Counted& o) noexcept : live(o.live) { ++*live; }
+    ~Counted() { --*live; }
+    void operator()() const {}
+  };
+  int live = 0;
+  {
+    SimEngine engine;
+    for (int i = 0; i < 100; ++i) {
+      engine.schedule_at(static_cast<double>(i), Counted(&live));
+    }
+    engine.run_until(39.5);
+    EXPECT_EQ(engine.pending(), 60u);
+    EXPECT_EQ(live, 60);
+  }
+  EXPECT_EQ(live, 0);
 }
 
 // ---- allocation-free steady state ---------------------------------------

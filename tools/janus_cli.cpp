@@ -20,6 +20,7 @@
 // same schema as LatencyProfile/HintsTable::to_csv, so tables produced here
 // can be loaded anywhere in the library.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cctype>
 #include <cstring>
@@ -269,8 +270,11 @@ bool parse_flags(int argc, char** argv, int first, Flags& flags,
     } else if (arg == "--contention-alpha") {
       flags.contention_alpha =
           parse_double(value("--contention-alpha"), "--contention-alpha");
-      if (flags.contention_alpha < 0.0) {
-        throw_invalid("--contention-alpha expects a number >= 0");
+      // Negated comparisons so NaN fails too; inf would reach the policy
+      // as inf * 0 at co-residency 1.
+      if (!(flags.contention_alpha >= 0.0) ||
+          !std::isfinite(flags.contention_alpha)) {
+        throw_invalid("--contention-alpha expects a finite number >= 0");
       }
     } else if (arg == "--nodes") {
       flags.nodes = parse_int(value("--nodes"), "--nodes");
@@ -282,7 +286,7 @@ bool parse_flags(int argc, char** argv, int first, Flags& flags,
         flags.epoch_s = 0.0;  // explicit "never reconcile"
       } else {
         flags.epoch_s = parse_double(text, "--epoch-s");
-        if (flags.epoch_s <= 0.0) {
+        if (!(flags.epoch_s > 0.0)) {
           throw_invalid("--epoch-s expects a positive number or 'inf': " +
                         text);
         }
@@ -325,15 +329,15 @@ bool parse_flags(int argc, char** argv, int first, Flags& flags,
       flags.rate = parse_double(value("--rate"), "--rate");
     } else if (arg == "--slo-target") {
       flags.slo_target = parse_double(value("--slo-target"), "--slo-target");
-      if (flags.slo_target <= 0.0 || flags.slo_target > 1.0) {
+      if (!(flags.slo_target > 0.0 && flags.slo_target <= 1.0)) {
         throw_invalid("--slo-target expects a fraction in (0, 1]");
       }
     } else if (arg == "--step") {
       flags.step = parse_double(value("--step"), "--step");
-      if (flags.step <= 0.0) throw_invalid("--step expects a number > 0");
+      if (!(flags.step > 0.0)) throw_invalid("--step expects a number > 0");
     } else if (arg == "--stop") {
       flags.stop = parse_double(value("--stop"), "--stop");
-      if (flags.stop <= 0.0) throw_invalid("--stop expects a number > 0");
+      if (!(flags.stop > 0.0)) throw_invalid("--stop expects a number > 0");
     } else if (arg == "--bisect") {
       flags.bisect = parse_int(value("--bisect"), "--bisect");
       if (flags.bisect < 0) throw_invalid("--bisect expects an integer >= 0");
